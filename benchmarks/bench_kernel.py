@@ -11,9 +11,6 @@ the bisection), accuracy parameter ``k=5`` so the table is large enough
 (sigma ~25k states) that per-sweep timing is dominated by the recurrence
 rather than by pool startup — and times:
 
-* ``legacy-thread`` — the seed's pure-Python per-state loop (the old
-  ``_compute_states`` worker, preserved verbatim below as the baseline)
-  on the thread backend;
 * the vectorized :class:`~repro.core.kernels.LevelKernel` on every
   backend (numpy-serial, serial, thread, process), tile-diagonal
   ``runs`` schedule where the backend supports it;
@@ -25,8 +22,6 @@ asserted to reach the same OPT as :func:`repro.core.dp.solve_table`.
 
 Gates (hard — non-zero exit on failure):
 
-* kernel thread backend ≥ 3x the legacy thread backend at every worker
-  count (the vectorization win must not regress);
 * **modeled speedup at 4 workers ≥ 2x** and modeled throughput monotone
   non-decreasing across 1 → 2 → 4 workers.  The paper's own Figure 3 is
   produced on this simulator; this container exposes a single usable
@@ -39,10 +34,11 @@ Gates (hard — non-zero exit on failure):
   more than the tolerance — the CI regression tripwire for the planner
   and the cost model.
 
-Results land under the ``"wavefront"`` section of ``BENCH_dp.json`` at
-the repo root, each run stamped with the instance fingerprint and its
-backend configuration (:mod:`repro.io.benchjson`), so stale entries from
-another instance or backend matrix cannot masquerade as current.
+Results replace the ``"wavefront"`` section of ``BENCH_dp.json`` at the
+repo root, each run stamped with the instance fingerprint and its
+backend configuration (:mod:`repro.io.benchjson`); every run measures the
+whole backend matrix, so no entry from an earlier instance or matrix
+survives a re-record.
 
 A final traced run records the per-level span breakdown of one
 numpy-serial table fill and asserts the ``level`` spans cover ≥ 80% of
@@ -60,14 +56,13 @@ import numpy as np
 from repro.core.bounds import makespan_bounds
 from repro.core.context import SolveContext
 from repro.core.dp import DPProblem, solve_table
-from repro.core.kernels import LevelKernel, build_level_arrays, table_to_optional
+from repro.core.kernels import LevelKernel, build_level_arrays
 from repro.core.parallel_dp import compute_table, parallel_dp
 from repro.core.rounding import round_instance
-from repro.io.benchjson import instance_fingerprint, load_bench, merge_runs, update_section
+from repro.io.benchjson import instance_fingerprint, load_bench, stamp_runs, update_section
 from repro.obs import Tracer
 from repro.parallel.cpus import usable_cpus
-from repro.parallel.executor import ThreadExecutor, make_executor, shutdown_pools
-from repro.parallel.partition import round_robin_partition
+from repro.parallel.executor import make_executor, shutdown_pools
 from repro.simcore.machine import SimulatedMachine
 from repro.workloads.generator import make_instance
 
@@ -77,17 +72,12 @@ THREAD_WORKERS = (1, 2, 4)
 PROCESS_WORKERS = (2,)
 MODEL_WORKERS = (1, 2, 4)
 REPS = 2
-#: Kernel-vs-legacy floor (vectorization win).
-MIN_SPEEDUP = 3.0
 #: Modeled parallel-vs-serial floor at the widest worker count.
 MODEL_MIN_SPEEDUP = 2.0
 #: ``--check-baseline``: fresh modeled speedup must be ≥ baseline × this.
 BASELINE_TOLERANCE = 0.9
 SECTION = "wavefront"
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dp.json"
-
-#: Fields identifying one run configuration within the section.
-RUN_KEY = ("backend", "workers", "schedule")
 
 
 def build_problem() -> DPProblem:
@@ -112,43 +102,6 @@ def instance_descriptor(problem: DPProblem) -> dict:
         "sigma": problem.table_size,
         "num_configs": len(problem.configurations()),
     }
-
-
-def legacy_thread_sweep(problem: DPProblem, num_workers: int):
-    """The seed's thread backend: per-state pure-Python loop with the
-    ``None`` sentinel, one chunk per worker per level.  Kept here (only)
-    as the benchmark baseline after the kernel replaced it in
-    :mod:`repro.core.parallel_dp`."""
-    dims = problem.dims
-    strides = problem.strides()
-    configs = problem.configurations().configs
-    offsets = [
-        sum(s * st for s, st in zip(cfg, strides)) for cfg in configs
-    ]
-    table: list[int | None] = [None] * problem.table_size
-    table[0] = 0
-    d = len(dims)
-
-    def compute_states(chunk) -> None:
-        for flat in chunk:
-            flat = int(flat)
-            if flat == 0:
-                continue
-            v = tuple((flat // strides[i]) % dims[i] for i in range(d))
-            best: int | None = None
-            for cfg, offset in zip(configs, offsets):
-                if all(cfg[i] <= v[i] for i in range(d)):
-                    prev = table[flat - offset]
-                    if prev is not None and (best is None or prev < best):
-                        best = prev
-            table[flat] = None if best is None else best + 1
-
-    levels = build_level_arrays(dims)
-    with ThreadExecutor(num_workers) as ex:
-        for level in levels[1:]:
-            chunks = round_robin_partition(list(level), num_workers)
-            ex.map_chunks(compute_states, chunks)
-    return table
 
 
 def timed(fn, reps: int = REPS):
@@ -259,10 +212,7 @@ def main() -> int:
         backend: str, workers: int, elapsed: float, table, *,
         schedule: str = "runs", **extra,
     ) -> None:
-        if isinstance(table, np.ndarray):
-            assert np.array_equal(table, reference), (backend, workers)
-        elif table is not None:
-            assert table == table_to_optional(reference), (backend, workers)
+        assert np.array_equal(table, reference), (backend, workers)
         runs.append(
             {
                 "backend": backend,
@@ -277,10 +227,6 @@ def main() -> int:
             f"{backend:>14} w={workers}: {elapsed * 1e3:8.1f} ms "
             f"({(sigma - 1) / elapsed:12.0f} states/s)"
         )
-
-    for w in THREAD_WORKERS:
-        elapsed, table = timed(lambda w=w: legacy_thread_sweep(problem, w))
-        record("legacy-thread", w, elapsed, table, schedule="levels")
 
     serial_elapsed, table = timed(lambda: compute_table(problem, 1, "numpy-serial"))
     record("numpy-serial", 1, serial_elapsed, table, schedule="levels")
@@ -326,23 +272,10 @@ def main() -> int:
         )
 
     by_key = {(r["backend"], r["workers"]): r["states_per_sec"] for r in runs}
-    ratios = {
-        w: by_key[("thread", w)] / by_key[("legacy-thread", w)]
-        for w in THREAD_WORKERS
-    }
-    for w, ratio in ratios.items():
-        print(f"kernel/legacy thread speedup @ w={w}: {ratio:.1f}x")
     for w in MODEL_WORKERS:
         print(f"modeled tile-diagonal speedup @ w={w}: {speedups[w]:.3f}x")
 
-    failures: list[str] = []
-    worst = min(ratios.values())
-    if worst < MIN_SPEEDUP:
-        failures.append(
-            f"kernel thread backend only {worst:.2f}x the legacy "
-            f"pure-Python thread backend (required >= {MIN_SPEEDUP}x)"
-        )
-    failures.extend(check_model_gate(speedups))
+    failures = check_model_gate(speedups)
 
     # Measured gate — only meaningful when the host can actually run 4
     # workers; this container exposes one usable CPU, where wall-clock
@@ -404,18 +337,12 @@ def main() -> int:
             "wavefront instrumentation regressed"
         )
 
-    previous = load_bench(OUTPUT).get(SECTION, {})
     payload = {
         "benchmark": "wavefront kernel states/sec",
         "fingerprint": fingerprint,
         "instance": {**descriptor, "opt": opt_ref},
-        "runs": merge_runs(
-            previous.get("runs"), runs, fingerprint, key_fields=RUN_KEY
-        ),
+        "runs": stamp_runs(runs, fingerprint),
         "modeled_speedups": {str(w): round(s, 3) for w, s in speedups.items()},
-        "thread_kernel_over_legacy": {
-            str(w): round(r, 2) for w, r in ratios.items()
-        },
         "gate": {
             "model_min_speedup": MODEL_MIN_SPEEDUP,
             "measured_gate_active": measured_gate_active,
@@ -434,8 +361,8 @@ def main() -> int:
             print(f"FAIL: {f}")
         return 1
     print(
-        f"OK: kernel >= {MIN_SPEEDUP}x legacy, modeled tile-diagonal "
-        f">= {MODEL_MIN_SPEEDUP}x serial at {max(MODEL_WORKERS)} workers"
+        f"OK: modeled tile-diagonal >= {MODEL_MIN_SPEEDUP}x serial at "
+        f"{max(MODEL_WORKERS)} workers"
     )
     return 0
 

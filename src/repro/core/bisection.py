@@ -14,7 +14,7 @@ every iteration, so the loop runs ``O(log max t)`` times.
 
 Warm starts (deviation from the paper, ``warm_start=True``)
 -----------------------------------------------------------
-Two cheap accelerations shrink the work per solve without changing the
+Three cheap accelerations shrink the work per solve without changing the
 certified target (property-tested against the faithful search):
 
 * **LPT-seeded upper bound.**  Eq. 2 is Graham's worst case; the actual
@@ -28,11 +28,22 @@ certified target (property-tested against the faithful search):
   split — produce identical class structure, so the previous probe's
   :class:`~repro.core.rounding.RoundedInstance` is reused with only the
   target swapped instead of re-scanning all ``n`` jobs.
+* **Probe reuse** (in the solver :func:`repro.core.ptas.parallel_ptas`
+  hands this search).  A probe's DP table depends only on the counts and
+  the configuration set, and targets of one bucket often enumerate the
+  same set, so on the real wavefront backends a repeat returns the
+  earlier probe's :class:`~repro.core.dp.DPResult` instead of a refill.
+  Every probe still gets its ``probe`` span and iteration record; only
+  the ``dp`` span is missing, counted by ``dp_reuses``.  The simulated
+  backend, the speculative mode and the sequential
+  :func:`~repro.core.ptas.ptas` fill every probe, as does the faithful
+  search.
 
 Every probe threads the machine budget through to the solver as its
 decision ``limit``, so early-exit engines (``frontier``, ``dominance``)
 stop at depth ``m`` — the callable contract of :data:`DecisionSolver`.
-Both accelerations certify an equally valid target: every ``T >= OPT``
+Probe reuse returns exactly what a refill would, and the other two
+accelerations certify an equally valid target: every ``T >= OPT``
 is feasible for the rounded DP (rounding only shrinks loads), so any
 bracketing interval converges to a feasible target ``<= OPT`` and the
 ``(1 + eps)`` guarantee holds unchanged.  Below ``OPT`` the rounding

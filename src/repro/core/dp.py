@@ -39,8 +39,9 @@ Engines
     practitioner should use, and the ablation benchmarks quantify why.
 ``numpy``
     Vectorized variant of the level sweep: all states of one
-    anti-diagonal are processed with numpy array operations, one pass per
-    configuration.  Semantically identical to ``table``.
+    anti-diagonal are processed with numpy array operations, all
+    configurations in one fused pass.  Semantically identical to
+    ``table``.
 
 All engines return a :class:`DPResult` and agree with each other — the
 test suite enforces this on randomized inputs.
@@ -59,7 +60,7 @@ from repro.core.configurations import (
     enumerate_maximal_configurations,
 )
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
-from repro.core.kernels import LevelKernel, build_level_arrays, table_opt
+from repro.core.kernels import LevelKernel, table_opt
 
 #: Sentinel for "not computable / unreached" states.
 INFEASIBLE = None
@@ -649,7 +650,8 @@ def solve_numpy(
 ) -> DPResult:
     """Level-synchronous sweep with numpy: all states of one anti-diagonal
     are updated at once by the shared :class:`~repro.core.kernels.LevelKernel`,
-    one vectorized pass per configuration.
+    in one fused pass that gathers the predecessors of every applicable
+    configuration together and keeps those on the right anti-diagonal.
 
     This is the data-parallel formulation of the paper's wavefront: the
     "processors" are SIMD lanes instead of cores, but the dependency
@@ -663,8 +665,9 @@ def solve_numpy(
     configs = _enumerate_traced(problem, ctx)
     kernel = LevelKernel.for_problem(problem, configs)
     table = kernel.allocate_table(sigma)
-    kernel.sweep(table, build_level_arrays(problem.dims))
-    # One vectorized pass per configuration over every non-origin state.
+    kernel.sweep(table, kernel.layout.levels)
+    # Abstract op count: every configuration considered at every
+    # non-origin state (the fused pass prunes by level, not by this).
     scans = len(configs) * (sigma - 1)
     opt_val = table_opt(table, sigma - 1)
     assert opt_val is not None, (

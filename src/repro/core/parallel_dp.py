@@ -73,6 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.configurations import ConfigurationSet
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
 from repro.core.dp import (
     DPProblem,
@@ -147,7 +148,8 @@ class LevelIndex:
 
 
 def build_level_index(problem: DPProblem) -> LevelIndex:
-    """Group all ``sigma`` states by anti-diagonal (vectorized)."""
+    """Group all ``sigma`` states by anti-diagonal (vectorized; shared
+    per table shape through :func:`repro.core.kernels.level_layout`)."""
     return LevelIndex(build_level_arrays(problem.dims))
 
 
@@ -282,7 +284,7 @@ def _run_process_backend(
                             for c in chunks
                         ]
                         ex.map_chunks(_process_worker_run, payloads)
-                    ctx.count("levels")
+                ctx.count("levels", level_index.num_levels - 1)
         finally:
             if owns:
                 ex.close()
@@ -432,8 +434,31 @@ def _run_simulated(
                 )
             else:
                 sim.record_uniform_level(level, len(flats), cost_per_state)
-        ctx.count("levels")
+    ctx.count("levels", level_index.num_levels - 1)
     return table
+
+
+def _traced_sweep(
+    kernel: LevelKernel,
+    table: np.ndarray,
+    levels: tuple[np.ndarray, ...],
+    ctx: SolveContext,
+) -> None:
+    """:meth:`LevelKernel.sweep` with one ``level`` span per
+    anti-diagonal.  Each level ends at one timestamp and the next starts
+    there, so the spans tile the sweep; recording a finished span (about
+    a microsecond) falls into the following level's interval instead of
+    a gap between spans."""
+    tracer = ctx.tracer
+    clock = tracer.clock
+    update = kernel.update
+    start = clock()
+    for level, flats in enumerate(levels[1:], start=1):
+        update(table, flats, level=level)
+        end = clock()
+        tracer.add_span("level", start, end, level=level, states=len(flats))
+        start = end
+    ctx.count("levels", len(levels) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +525,7 @@ def compute_table(
         executor = ctx.executor
     if kernel is None:
         kernel = LevelKernel.for_problem(problem)
-    level_index = build_level_index(problem)
+    level_index = LevelIndex(kernel.layout.levels)
     sigma = problem.table_size
     if schedule is None:
         schedule = "runs" if backend in EXECUTOR_BACKENDS else "levels"
@@ -513,13 +538,10 @@ def compute_table(
 
     table = kernel.allocate_table(sigma)
     if backend == "numpy-serial":
-        if not ctx.tracer.enabled:
+        if ctx.tracer.enabled:
+            _traced_sweep(kernel, table, level_index.levels, ctx)
+        else:
             kernel.sweep(table, level_index.levels)
-            return table
-        for level, flats in enumerate(level_index.levels[1:], start=1):
-            with ctx.span("level", level=level, states=len(flats)):
-                kernel.update(table, flats, level=level)
-            ctx.count("levels")
         return table
     if backend == "simulated":
         return _run_simulated(
@@ -558,7 +580,7 @@ def compute_table(
                         worker,
                         [(level, c) if len(c) else () for c in chunks],
                     )
-                ctx.count("levels")
+            ctx.count("levels", level_index.num_levels - 1)
     finally:
         if owns:
             ex.close()
@@ -584,6 +606,7 @@ def parallel_dp(
     plan: TilePlan | None = None,
     executor: Executor | None = None,
     ctx: SolveContext | None = None,
+    configs: ConfigurationSet | None = None,
 ) -> DPResult:
     """Fill the DP table with the wavefront schedule of Alg. 3.
 
@@ -623,6 +646,10 @@ def parallel_dp(
         (``dp`` span around the table fill, one ``level``/``run`` span
         per barrier interval, ``enumerate`` / ``backtrack`` spans around
         the respective phases) and optionally the shared executor.
+    configs:
+        The problem's configuration set when the caller already
+        enumerated it (the PTAS driver does, to key probe reuse); it is
+        enumerated under an ``enumerate`` span otherwise.
 
     Returns
     -------
@@ -658,7 +685,8 @@ def parallel_dp(
             machine.record_sequential(0.0)
         return DPResult(opt=0, engine=f"parallel-{backend}", stats=stats)
 
-    configs = _enumerate_traced(problem, ctx)
+    if configs is None:
+        configs = _enumerate_traced(problem, ctx)
     kernel = LevelKernel.for_problem(problem, configs)
     sigma = problem.table_size
     with ctx.span(
@@ -687,9 +715,7 @@ def parallel_dp(
         raise AssertionError("parallel DP ended infeasible")
     stats = None
     if collect_stats:
-        level_sizes = tuple(
-            len(lv) for lv in build_level_arrays(problem.dims)
-        )
+        level_sizes = tuple(len(lv) for lv in kernel.layout.levels)
         stats = DPStats(
             sigma=sigma,
             num_levels=len(level_sizes),

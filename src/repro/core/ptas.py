@@ -21,7 +21,7 @@ from typing import Callable
 from repro.core.bisection import BisectionOutcome, bisect_target_makespan
 from repro.core.bounds import makespan_bounds
 from repro.core.context import SolveContext, resolve_context
-from repro.core.dp import DPProblem, DPResult, solve
+from repro.core.dp import DPProblem, DPResult, _enumerate_traced, solve
 from repro.core.parallel_dp import BACKENDS, EXECUTOR_BACKENDS, parallel_dp
 from repro.core.rounding import accuracy_parameter, round_instance
 from repro.core.speculative import speculative_bisect
@@ -143,7 +143,10 @@ def ptas(
         cross-cutting concerns: deadline hook (checked before every
         bisection probe), warm-start policy (LPT-seeded upper bound +
         rounding reuse, on by default; the certified target and schedule
-        are identical either way), tracer (the run is wrapped in a
+        are identical either way — this sequential driver fills every
+        probe's table, and the harness times it to calibrate simulated
+        seconds, so it skips :func:`parallel_ptas`'s probe reuse),
+        tracer (the run is wrapped in a
         ``solve`` span; probes, DP phases and wavefront levels nest
         beneath it) and metrics.  Defaults to
         :data:`~repro.core.context.DEFAULT_CONTEXT`.
@@ -370,6 +373,17 @@ def parallel_ptas(
     bisection probe's wavefront runs on, so pool startup and teardown are
     paid once per solve instead of once per probe.
 
+    Probe reuse, the third warm-start acceleration (see
+    :mod:`repro.core.bisection`): with ``ctx.warm_start`` on, the
+    serial/numpy-serial/thread/process backends key every probe by
+    ``(class_sizes, counts, job_cap, m, configuration set)`` — all a
+    table depends on — and return an earlier probe's ``DPResult`` for a
+    repeated key instead of refilling.  Each probe is still traced and
+    recorded in ``outcome.iterations``; a reused one has no ``dp`` span
+    and bumps the ``dp_reuses`` counter.  The simulated backend (which
+    charges every probe to the modeled machine), the faithful search
+    (``warm_start=False``) and the speculative mode fill every probe.
+
     The returned schedule is identical to :func:`ptas` with
     ``engine="table"`` — parallelization changes execution order within
     anti-diagonals only, never the table contents.
@@ -425,8 +439,26 @@ def parallel_ptas(
         make_executor(backend, num_workers, reuse=True) if owns_executor else external
     )
 
+    # Probe reuse: a probe's table depends only on the counts and the
+    # configuration set, so a probe whose rounding repeats an earlier
+    # one's key gets that probe's result back instead of a refill.
+    reused: dict[tuple, DPResult] | None = (
+        {} if ctx.warm_start and backend != "simulated" else None
+    )
+
     def solver(problem: DPProblem, m: int) -> DPResult:
-        return parallel_dp(
+        configs = key = None
+        if reused is not None and problem.counts:
+            configs = _enumerate_traced(problem, ctx)
+            key = (
+                problem.class_sizes, problem.counts, problem.job_cap, m,
+                configs.configs,
+            )
+            hit = reused.get(key)
+            if hit is not None:
+                ctx.count("dp_reuses")
+                return hit
+        result = parallel_dp(
             problem,
             num_workers,
             backend,
@@ -437,7 +469,11 @@ def parallel_ptas(
             cost_model=cost_model,
             executor=executor,
             ctx=ctx,
+            configs=configs,
         )
+        if key is not None:
+            reused[key] = result
+        return result
 
     try:
         with ctx.span(

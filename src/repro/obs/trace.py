@@ -233,6 +233,18 @@ class Tracer:
         """
         return _OpenSpan(self, kind, attrs)
 
+    def add_span(self, kind: str, start: float, end: float, **attrs: Any) -> None:
+        """Record an already-finished span, timed by the caller with
+        :attr:`clock`, under the currently open span (or as a root).
+
+        For hot loops that take their own timestamps instead of entering
+        and leaving a context manager per span; the profiler does not
+        sample such spans.
+        """
+        span = Span(kind, attrs, start)
+        span.end = end
+        (self._stack[-1].children if self._stack else self.roots).append(span)
+
     def count(self, name: str, n: int = 1) -> None:
         """Add *n* to the named counter."""
         self.counters[name] = self.counters.get(name, 0) + n

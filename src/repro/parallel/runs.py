@@ -56,20 +56,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class KernelCostModel:
     """Affine per-level cost of one :meth:`LevelKernel.update` call.
 
-    ``seconds(q) = alpha * |C| + beta * q * |C|`` — ``alpha`` is the
-    fixed cost of one vectorized configuration pass (mask allocation,
-    numpy dispatch), ``beta`` the marginal cost per state per pass.
-    Defaults are conservative laptop-class numbers; :meth:`measure`
-    replaces them with two timed updates on the actual kernel.
+    ``seconds(q) = alpha * |C| + beta * q * |C|`` — the update is one
+    fused pass over all configurations, so ``alpha * |C|`` is the fixed
+    cost of one call (numpy dispatch, temporaries) spread over ``|C|``,
+    and ``beta`` the marginal cost per (state, configuration) pair.
+    Defaults are conservative laptop-class numbers and stay fixed — they
+    set the simulated planner's geometry, which must not drift with the
+    host; :meth:`measure` replaces them with two timed updates on the
+    actual kernel for the real backends.
     """
 
     alpha_seconds: float = 4e-6
     beta_seconds: float = 1.2e-8
 
     def level_seconds(self, num_states: int, num_configs: int) -> float:
-        """Modeled seconds for one update over ``num_states`` states with
-        ``num_configs`` configuration passes (at least one pass — the
-        unrank/scatter work exists even for an empty configuration set)."""
+        """Modeled seconds for one update over ``num_states`` states and
+        ``num_configs`` configurations (counted as at least one — the
+        call's gather/scatter work exists even for an empty set)."""
         if num_states <= 0:
             return 0.0
         passes = max(1, num_configs)

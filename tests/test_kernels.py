@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dp import DPProblem, solve_table
 from repro.core.kernels import (
@@ -69,6 +70,19 @@ class TestKernelPrimitives:
         assert np.array_equal(seen, np.arange(p.table_size))
         assert tuple(len(lv) for lv in levels) == (1, 2, 3, 3, 2, 1)
 
+    def test_layout_shared_per_shape_and_read_only(self, paper_example_problem):
+        """Probes of one rounding share their dims, so they share one
+        cached layout, which therefore must not be writable."""
+        from repro.core.kernels import level_layout
+
+        p = paper_example_problem
+        layout = level_layout(p.dims)
+        assert level_layout(np.asarray(p.dims)) is layout
+        assert LevelKernel.for_problem(p).layout is layout
+        for arr in (layout.state_levels, *layout.levels):
+            assert not arr.flags.writeable
+        assert layout.state_levels.tolist() == [sum(divmod(f, 4)) for f in range(12)]
+
     def test_empty_dims_single_state(self):
         levels = build_level_arrays(())
         assert len(levels) == 1
@@ -116,6 +130,162 @@ class TestKernelPrimitives:
         table = clone.allocate_table(p.table_size)
         clone.sweep(table, build_level_arrays(p.dims))
         assert table_to_optional(table) == reference_optional_table(p)
+
+
+#: Table-size cap for the fused-kernel properties (the pure-Python oracle
+#: visits every state once per configuration).
+MAX_SIGMA = 1500
+
+
+@st.composite
+def fused_problems(draw: st.DrawFn) -> DPProblem:
+    """1-6 classes with counts 0-8 (capped so the table stays at most
+    :data:`MAX_SIGMA` states), weight-only or ``k - 1`` job caps."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    sizes = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=30), min_size=d, max_size=d, unique=True
+        )
+    )
+    counts, sigma = [], 1
+    for _ in range(d):
+        count = draw(st.integers(min_value=0, max_value=min(8, MAX_SIGMA // sigma - 1)))
+        counts.append(count)
+        sigma *= count + 1
+    target = max(sizes) + draw(st.integers(min_value=0, max_value=60))
+    job_cap = draw(st.one_of(st.none(), st.integers(min_value=2, max_value=6).map(lambda k: k - 1)))
+    return DPProblem(tuple(sorted(sizes)), tuple(counts), target, job_cap=job_cap)
+
+
+def fused_block(elements: int | None):
+    """Shrink the kernel's row-block size (``None`` keeps the default)."""
+    from contextlib import nullcontext
+    from unittest import mock
+
+    from repro.core import kernels
+
+    if elements is None:
+        return nullcontext()
+    return mock.patch.object(kernels, "_FUSED_BLOCK", elements)
+
+
+def naive_applicable_counts(problem: DPProblem) -> list[int]:
+    """Per flat state, the configurations ``s <= v`` (componentwise)."""
+    dims, strides = problem.dims, problem.strides()
+    configs = problem.configurations().configs
+    out = []
+    for flat in range(problem.table_size):
+        v = [(flat // strides[c]) % dims[c] for c in range(len(dims))]
+        out.append(sum(all(s <= x for s, x in zip(cfg, v)) for cfg in configs))
+    return out
+
+
+class TestFusedKernelExactness:
+    """The fused pass gathers every configuration's predecessor at once
+    and keeps those on anti-diagonal ``level - |s|``; whatever chunking a
+    backend sends, the table must equal the per-state oracle."""
+
+    @given(fused_problems(), st.sampled_from([None, 1, 7, 64]))
+    @settings(max_examples=60)
+    def test_whole_level_sweeps(self, problem: DPProblem, block):
+        """Also with tiny row blocks, so wide levels split into many."""
+        kernel = LevelKernel.for_problem(problem)
+        table = kernel.allocate_table(problem.table_size)
+        with fused_block(block):
+            kernel.sweep(table, build_level_arrays(problem.dims))
+        assert table_to_optional(table) == reference_optional_table(problem)
+
+    @given(fused_problems(), st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_random_subchunks_in_random_order(self, problem: DPProblem, rng):
+        """Thread and process tiles hand the kernel arbitrary pieces of
+        one level, finished in any order."""
+        kernel = LevelKernel.for_problem(problem)
+        table = kernel.allocate_table(problem.table_size)
+        for level, flats in enumerate(build_level_arrays(problem.dims)[1:], start=1):
+            states = flats.tolist()
+            rng.shuffle(states)
+            cuts = sorted(rng.sample(range(1, len(states)), min(3, len(states) - 1)))
+            pieces = [states[a:b] for a, b in zip([0, *cuts], [*cuts, len(states)])]
+            rng.shuffle(pieces)
+            for piece in pieces:
+                kernel.update(table, np.asarray(piece, dtype=np.int64), level=level)
+        assert table_to_optional(table) == reference_optional_table(problem)
+
+    @given(
+        fused_problems(), st.randoms(use_true_random=False),
+        st.sampled_from([None, 1, 7, 64]),
+    )
+    @settings(max_examples=60)
+    def test_level_none_chunks_mixing_levels(self, problem: DPProblem, rng, block):
+        """Sweep hyperplanes ``sum_c w_c v_c = h`` with random positive
+        weights: each is an antichain whose predecessors all lie on lower
+        hyperplanes, yet it spans several anti-diagonals, so every chunk
+        goes through the per-state (``level=None``) path."""
+        dims, strides = problem.dims, problem.strides()
+        weights = [rng.randint(1, 3) for _ in dims]
+        planes: dict[int, list[int]] = {}
+        for flat in range(problem.table_size):
+            h = sum(w * ((flat // s) % n) for w, s, n in zip(weights, strides, dims))
+            planes.setdefault(h, []).append(flat)
+        kernel = LevelKernel.for_problem(problem)
+        table = kernel.allocate_table(problem.table_size)
+        with fused_block(block):
+            for h in sorted(planes):
+                kernel.update(table, np.asarray(planes[h], dtype=np.int64))
+        assert table_to_optional(table) == reference_optional_table(problem)
+
+    @given(fused_problems(), st.sampled_from([None, 1, 7]))
+    @settings(max_examples=40)
+    def test_count_applicable_matches_naive_count(self, problem: DPProblem, block):
+        kernel = LevelKernel.for_problem(problem)
+        expected = naive_applicable_counts(problem)
+        levels = build_level_arrays(problem.dims)
+        for level_arg in (True, False):
+            table = kernel.allocate_table(problem.table_size)
+            counted = [0] * problem.table_size
+            with fused_block(block):
+                for level, flats in enumerate(levels):
+                    counts = kernel.update(
+                        table, flats, level=level if level_arg else None,
+                        count_applicable=True,
+                    )
+                    for flat, c in zip(flats.tolist(), counts.tolist()):
+                        counted[flat] = c
+            assert counted == expected, level_arg
+
+    def test_pickled_size_does_not_grow_with_sigma(self):
+        """Process tiles ship the kernel in every payload: the per-state
+        anti-diagonal array must stay behind and be rebuilt by the worker."""
+        import pickle
+
+        # Same configuration set ({(1, 0), (0, 1)}: no two jobs fit in 7),
+        # tables of 12 and ~5k states.
+        small = DPProblem((5, 7), (2, 3), 7)
+        big = DPProblem((5, 7), (60, 80), 7)
+        assert small.configurations().configs == big.configurations().configs
+        small_bytes = pickle.dumps(LevelKernel.for_problem(small))
+        big_bytes = pickle.dumps(LevelKernel.for_problem(big))
+        assert big.table_size > 400 * small.table_size
+        assert len(big_bytes) <= len(small_bytes) + 64
+        clone = pickle.loads(big_bytes)
+        table = clone.allocate_table(big.table_size)
+        clone.sweep(table, build_level_arrays(big.dims))
+        assert np.array_equal(table, compute_table(big, 1, "numpy-serial"))
+
+    def test_out_of_box_configurations_apply_nowhere(self):
+        """A configuration exceeding a job count matches no state, but its
+        offset can still land on the right anti-diagonal (the borrow
+        argument needs ``s <= N``), so the kernel must drop it."""
+        # Two jobs of size 6 under T=10 need two machines; the phantom
+        # configuration (0, 2) has offset 2, the flat index of v=(2, 0),
+        # so a level test alone would read OPT(0) and report one machine.
+        p = DPProblem((6, 11), (2, 0), 10)
+        assert p.configurations().configs == ((1, 0),)
+        kernel = LevelKernel(p.dims, p.strides(), ((1, 0), (0, 2)))
+        table = kernel.allocate_table(p.table_size)
+        kernel.sweep(table, build_level_arrays(p.dims))
+        assert table_to_optional(table) == reference_optional_table(p) == [0, 1, 2]
 
 
 class TestBackendsBitIdentical:

@@ -282,3 +282,102 @@ class TestBisectionModes:
                 small_instance, 0.3, num_workers=2, backend="simulated",
                 mode="speculative",
             )
+
+
+#: Paper-family instances (family, m, n, seed) whose bisection repeats a
+#: probe table at least once, plus u_2m/u_10 cells that do not.
+REUSE_CASES = [
+    ("u_100", 4, 12, 2),
+    ("u_100", 10, 30, 0),
+    ("u_10n", 5, 16, 0),
+    ("u_10n", 10, 30, 2),
+    ("lpt_adversarial", 10, 30, 1),
+    ("u_narrow", 5, 16, 0),
+    ("u_2m", 5, 16, 0),
+    ("u_10", 10, 30, 0),
+]
+
+
+def _reuse_keys(instance, result) -> list[tuple]:
+    """The reuse key of every probe, rebuilt from the iteration trace."""
+    from repro.core.dp import DPProblem
+    from repro.core.rounding import round_instance
+
+    keys = []
+    for it in result.outcome.iterations:
+        rounded = round_instance(instance, it.target, result.k)
+        problem = DPProblem(
+            rounded.class_sizes, rounded.class_counts, it.target,
+            job_cap=result.k - 1,
+        )
+        keys.append((
+            problem.class_sizes, problem.counts, problem.job_cap,
+            instance.num_machines, problem.configurations().configs,
+        ))
+    return keys
+
+
+class TestProbeReuse:
+    """With warm starts, a real backend returns the earlier result of a
+    probe whose counts and configuration set repeat instead of refilling
+    the table; nothing observable but the ``dp`` spans may change."""
+
+    @pytest.mark.parametrize("family,m,n,seed", REUSE_CASES)
+    @pytest.mark.parametrize("backend", ["numpy-serial", "serial", "thread"])
+    def test_same_answer_and_trace_as_simulated(self, family, m, n, seed, backend):
+        from repro.obs import Tracer
+        from repro.workloads.generator import make_instance
+
+        inst = make_instance(family, m, n, seed=seed)
+        simulated = parallel_ptas(inst, 0.3, num_workers=2, backend="simulated")
+        tracer = Tracer()
+        real = parallel_ptas(
+            inst, 0.3, num_workers=2, backend=backend,
+            ctx=SolveContext(tracer=tracer),
+        )
+        assert real.schedule.assignment == simulated.schedule.assignment
+        assert real.final_target == simulated.final_target
+        assert real.outcome.iterations == simulated.outcome.iterations
+        probes = len(real.outcome.iterations)
+        distinct = len(set(_reuse_keys(inst, real)))
+        assert len(tracer.find("probe")) == probes
+        assert len(tracer.find("dp")) == distinct
+        assert tracer.counters.get("dp_reuses", 0) == probes - distinct
+
+    def test_paper_families_do_reuse(self):
+        """The cases above must exercise reuse at all."""
+        from repro.obs import Tracer
+        from repro.workloads.generator import make_instance
+
+        reuses = 0
+        for family, m, n, seed in REUSE_CASES:
+            tracer = Tracer()
+            parallel_ptas(
+                make_instance(family, m, n, seed=seed), 0.3, num_workers=1,
+                backend="numpy-serial", ctx=SolveContext(tracer=tracer),
+            )
+            reuses += tracer.counters.get("dp_reuses", 0)
+        assert reuses >= len(REUSE_CASES) // 2
+
+    @pytest.mark.parametrize(
+        "backend,ctx",
+        [
+            ("simulated", SolveContext()),
+            ("numpy-serial", SolveContext(warm_start=False)),
+        ],
+        ids=["simulated", "faithful"],
+    )
+    def test_simulated_and_faithful_fill_every_probe(self, backend, ctx):
+        from dataclasses import replace
+
+        from repro.obs import Tracer
+        from repro.workloads.generator import make_instance
+
+        inst = make_instance("u_10n", 5, 16, seed=0)
+        tracer = Tracer()
+        result = parallel_ptas(
+            inst, 0.3, num_workers=2, backend=backend,
+            ctx=replace(ctx, tracer=tracer),
+        )
+        assert len(tracer.find("dp")) == result.num_bisection_iterations
+        assert "dp_reuses" not in tracer.counters
