@@ -60,7 +60,7 @@ from repro.core.configurations import (
     enumerate_maximal_configurations,
 )
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
-from repro.core.kernels import LevelKernel, table_opt
+from repro.core.kernels import LevelKernel
 
 #: Sentinel for "not computable / unreached" states.
 INFEASIBLE = None
@@ -195,19 +195,6 @@ def unrank(flat: int, dims: Sequence[int], strides: Sequence[int]) -> tuple[int,
     """Inverse of row-major flattening: recover the count vector of a flat
     table index."""
     return tuple((flat // strides[c]) % dims[c] for c in range(len(dims)))
-
-
-def state_levels_array(problem: DPProblem) -> np.ndarray:
-    """Vector of anti-diagonal indices for all ``sigma`` states, in
-    row-major order (vectorized Alg. 3, lines 4–8)."""
-    sigma = problem.table_size
-    strides = problem.strides()
-    dims = problem.dims
-    flat = np.arange(sigma, dtype=np.int64)
-    levels = np.zeros(sigma, dtype=np.int64)
-    for c in range(len(dims)):
-        levels += (flat // strides[c]) % dims[c]
-    return levels
 
 
 def backtrack_schedule(
@@ -651,7 +638,7 @@ def solve_numpy(
     """Level-synchronous sweep with numpy: all states of one anti-diagonal
     are updated at once by the shared :class:`~repro.core.kernels.LevelKernel`,
     in one fused pass that gathers the predecessors of every applicable
-    configuration together and keeps those on the right anti-diagonal.
+    configuration together from the level-encoded table.
 
     This is the data-parallel formulation of the paper's wavefront: the
     "processors" are SIMD lanes instead of cores, but the dependency
@@ -669,7 +656,7 @@ def solve_numpy(
     # Abstract op count: every configuration considered at every
     # non-origin state (the fused pass prunes by level, not by this).
     scans = len(configs) * (sigma - 1)
-    opt_val = table_opt(table, sigma - 1)
+    opt_val = kernel.opt(table, sigma - 1)
     assert opt_val is not None, (
         "DP must be feasible (singleton configurations exist)"
     )
@@ -690,7 +677,7 @@ def solve_numpy(
     if track_schedule:
         with ctx.span("backtrack", engine="numpy"):
             machine_configs = backtrack_schedule(
-                lambda i: table_opt(table, i), problem, configs
+                lambda i: kernel.opt(table, i), problem, configs
             )
     return DPResult(
         opt=opt_val, machine_configs=machine_configs, engine="numpy", stats=stats

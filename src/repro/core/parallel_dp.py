@@ -9,9 +9,9 @@ The key structural facts (paper §III):
   decreases the component sum.
 
 Every backend runs the same compute core — the vectorized
-:class:`~repro.core.kernels.LevelKernel` — against one ``int64`` table,
-so the recurrence is implemented exactly once and all backends are
-bit-identical by construction.
+:class:`~repro.core.kernels.LevelKernel` — against one level-encoded
+table, so the recurrence is implemented exactly once and all backends
+are bit-identical by construction.
 
 Schedules
 ---------
@@ -82,11 +82,7 @@ from repro.core.dp import (
     _enumerate_traced,
     backtrack_schedule,
 )
-from repro.core.kernels import (
-    LevelKernel,
-    build_level_arrays,
-    table_opt,
-)
+from repro.core.kernels import LevelKernel, build_level_arrays
 from repro.parallel.cpus import usable_cpus
 from repro.parallel.executor import Executor, make_executor
 from repro.parallel.partition import round_robin_partition
@@ -209,7 +205,7 @@ def _attach_worker(token, shm_name, sigma, kernel):  # pragma: no cover - worker
         for stale in list(_WORKER_STATE):
             _WORKER_STATE.pop(stale)[0].close()
         shm = shared_memory.SharedMemory(name=shm_name)
-        table = np.ndarray((sigma,), dtype=np.int64, buffer=shm.buf)
+        table = np.ndarray((sigma,), dtype=kernel.dtype, buffer=shm.buf)
         state = (shm, table, kernel)
         _WORKER_STATE[token] = state
     return state
@@ -250,13 +246,15 @@ def _run_process_backend(
     schedule: str,
     plan: TilePlan | None,
 ) -> np.ndarray:
-    """Fill the table in shared memory with pool workers; returns a copy."""
+    """Fill the table in shared memory (of the kernel's dtype) with pool
+    workers; returns a copy."""
     from multiprocessing import shared_memory
 
     sigma = problem.table_size
-    shm = shared_memory.SharedMemory(create=True, size=max(sigma * 8, 8))
+    itemsize = np.dtype(kernel.dtype).itemsize
+    shm = shared_memory.SharedMemory(create=True, size=max(sigma * itemsize, 8))
     try:
-        table = np.ndarray((sigma,), dtype=np.int64, buffer=shm.buf)
+        table = np.ndarray((sigma,), dtype=kernel.dtype, buffer=shm.buf)
         kernel.init_table(table)
         owns = executor is None
         ex = executor if executor is not None else make_executor(
@@ -465,6 +463,35 @@ def _traced_sweep(
 # Table filling (shared by parallel_dp and the test/benchmark surface)
 # ---------------------------------------------------------------------------
 
+def _check_options(
+    backend: str,
+    num_workers: int,
+    cost_fidelity: str,
+    schedule: str | None,
+    executor: Executor | None,
+) -> None:
+    """Reject unknown backends, schedules and fidelities, a worker count
+    below one, and an executor on a backend that runs without one."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
+        )
+    if num_workers < 1:
+        raise ValueError("num_workers must be >= 1")
+    if cost_fidelity not in ("uniform", "per_state"):
+        raise ValueError(
+            f"unknown cost_fidelity {cost_fidelity!r}; expected uniform/per_state"
+        )
+    if schedule is not None and schedule not in SCHEDULES:
+        raise ValueError(
+            f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
+        )
+    if executor is not None and backend not in EXECUTOR_BACKENDS:
+        raise ValueError(
+            f"backend {backend!r} does not execute through an executor"
+        )
+
+
 def compute_table(
     problem: DPProblem,
     num_workers: int,
@@ -479,9 +506,9 @@ def compute_table(
     plan: TilePlan | None = None,
     ctx: SolveContext | None = None,
 ) -> np.ndarray:
-    """Fill and return the raw wavefront DP table for ``problem``.
+    """Fill and return the decoded wavefront DP table for ``problem``.
 
-    The returned ``int64`` array uses the
+    The returned ``int64`` array holds ``OPT`` per state and the
     :data:`~repro.core.kernels.KERNEL_INFEASIBLE` sentinel; all backends
     and both schedules return bit-identical tables.  ``executor`` lets a
     caller own a persistent pool across many probes (serial/thread/
@@ -502,31 +529,49 @@ def compute_table(
     untraced ``numpy-serial`` path keeps the fused
     :meth:`LevelKernel.sweep` fast path.
     """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
+    _check_options(backend, num_workers, cost_fidelity, schedule, executor)
+    if kernel is None:
+        kernel = LevelKernel.for_problem(problem)
+    return kernel.decode(
+        _fill_table(
+            problem, num_workers, backend, kernel,
+            executor=executor, machine=machine, cost_model=cost_model,
+            cost_fidelity=cost_fidelity, schedule=schedule, plan=plan,
+            ctx=ctx,
         )
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
-    if cost_fidelity not in ("uniform", "per_state"):
-        raise ValueError(
-            f"unknown cost_fidelity {cost_fidelity!r}; expected uniform/per_state"
-        )
-    if schedule is not None and schedule not in SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
-        )
-    if executor is not None and backend not in EXECUTOR_BACKENDS:
-        raise ValueError(
-            f"backend {backend!r} does not execute through an executor"
-        )
+    )
+
+
+def _fill_table(
+    problem: DPProblem,
+    num_workers: int,
+    backend: str,
+    kernel: LevelKernel,
+    *,
+    executor: Executor | None,
+    machine: SimulatedMachine | None,
+    cost_model: CostModel | None,
+    cost_fidelity: str,
+    schedule: str | None,
+    plan: TilePlan | None,
+    ctx: SolveContext | None,
+) -> np.ndarray:
+    """:func:`compute_table` without the decode: returns the kernel's
+    level-encoded table, of which the solve path decodes only ``OPT(N)``
+    and the entries backtracking reads.  Options are checked by the
+    callers (:func:`_check_options`)."""
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     if executor is None and backend in EXECUTOR_BACKENDS:
         executor = ctx.executor
-    if kernel is None:
-        kernel = LevelKernel.for_problem(problem)
-    level_index = LevelIndex(kernel.layout.levels)
-    sigma = problem.table_size
+    levels = kernel.layout.levels
+    if backend == "numpy-serial":
+        table = kernel.allocate_table(problem.table_size)
+        if ctx.tracer.enabled:
+            _traced_sweep(kernel, table, levels, ctx)
+        else:
+            kernel.sweep(table, levels)
+        return table
+    level_index = LevelIndex(levels)
     if schedule is None:
         schedule = "runs" if backend in EXECUTOR_BACKENDS else "levels"
 
@@ -536,13 +581,7 @@ def compute_table(
             schedule, plan,
         )
 
-    table = kernel.allocate_table(sigma)
-    if backend == "numpy-serial":
-        if ctx.tracer.enabled:
-            _traced_sweep(kernel, table, level_index.levels, ctx)
-        else:
-            kernel.sweep(table, level_index.levels)
-        return table
+    table = kernel.allocate_table(problem.table_size)
     if backend == "simulated":
         return _run_simulated(
             problem, kernel, level_index, table, num_workers, machine,
@@ -657,16 +696,7 @@ def parallel_dp(
         Same contract as the sequential engines; ``engine`` is
         ``"parallel-<backend>"``.
     """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
-        )
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
-    if cost_fidelity not in ("uniform", "per_state"):
-        raise ValueError(
-            f"unknown cost_fidelity {cost_fidelity!r}; expected uniform/per_state"
-        )
+    _check_options(backend, num_workers, cost_fidelity, schedule, executor)
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     if not problem.counts:
         stats = (
@@ -696,12 +726,12 @@ def parallel_dp(
         backend=backend,
         workers=num_workers,
     ) as dp_span:
-        table = compute_table(
+        table = _fill_table(
             problem,
             num_workers,
             backend,
+            kernel,
             executor=executor,
-            kernel=kernel,
             machine=machine,
             cost_model=cost_model,
             cost_fidelity=cost_fidelity,
@@ -709,7 +739,7 @@ def parallel_dp(
             plan=plan,
             ctx=ctx,
         )
-        opt = table_opt(table, sigma - 1)
+        opt = kernel.opt(table, sigma - 1)
         dp_span.set(opt=opt)
     if opt is None:  # pragma: no cover - singleton configs guarantee feasibility
         raise AssertionError("parallel DP ended infeasible")
@@ -730,7 +760,7 @@ def parallel_dp(
     if track_schedule:
         with ctx.span("backtrack", engine=f"parallel-{backend}"):
             machine_configs = backtrack_schedule(
-                lambda i: table_opt(table, i), problem, configs
+                lambda i: kernel.opt(table, i), problem, configs
             )
     return DPResult(
         opt=opt,

@@ -187,8 +187,9 @@ class SolveRequest:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe dict form (``times`` as a list)."""
-        d = asdict(self)
+        """JSON-safe dict form (``times`` as a list), built field by
+        field: ``asdict`` would deep-copy every tuple first."""
+        d = {name: getattr(self, name) for name in self.__dataclass_fields__}
         d["times"] = list(self.times)
         return d
 
@@ -279,8 +280,9 @@ class SolveResult:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe dict form (assignment as nested lists)."""
-        d = asdict(self)
+        """JSON-safe dict form (assignment as nested lists), built field
+        by field: ``asdict`` would deep-copy the assignment first."""
+        d = {name: getattr(self, name) for name in self.__dataclass_fields__}
         if self.assignment is not None:
             d["assignment"] = [list(grp) for grp in self.assignment]
         return d

@@ -128,3 +128,33 @@ class TestSolveExactAPI:
     def test_default_is_ilp(self):
         res = solve_exact(Instance([2, 2], 2))
         assert res.method == "ilp"
+
+
+class TestScipyImportIsLazy:
+    """Only the ``ilp`` engine needs scipy (~0.65 s and ~540 modules to
+    import), so importing the package, the CLI or the pool worker must
+    not load it."""
+
+    @pytest.mark.parametrize("module", ["repro", "repro.cli", "repro.service.worker"])
+    def test_fresh_import_leaves_scipy_out(self, module):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"

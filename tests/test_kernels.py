@@ -1,13 +1,16 @@
 """Tests for the shared vectorized wavefront kernel (:mod:`repro.core.kernels`).
 
 The contract under test: every backend — serial, numpy-serial, thread,
-process — fills a *bit-identical* ``int64`` table (one sentinel
-convention, one recurrence implementation), and the results agree with
-:func:`repro.core.dp.solve_table` including ``limit``-triggered
-infeasible probes and degenerate instances.
+process — fills a *bit-identical* level-encoded table whose decoded
+``int64`` form (one sentinel convention, one recurrence implementation)
+agrees with :func:`repro.core.dp.solve_table` including
+``limit``-triggered infeasible probes and degenerate instances.
 """
 
 from __future__ import annotations
+
+import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dp import DPProblem, solve_table
+from repro.core import kernels
 from repro.core.kernels import (
     KERNEL_INFEASIBLE,
     LevelKernel,
@@ -31,12 +35,16 @@ from conftest import dp_problems
 FAST_BACKENDS = ("serial", "numpy-serial", "thread")
 
 
-def reference_optional_table(problem: DPProblem) -> list[int | None]:
-    """Independent row-major sweep oracle (the seed's pure-Python loop)."""
+def reference_optional_table(
+    problem: DPProblem, configs: tuple[tuple[int, ...], ...] | None = None
+) -> list[int | None]:
+    """Independent row-major sweep oracle (the seed's pure-Python loop),
+    over the problem's configurations unless others are given."""
     dims = problem.dims
     strides = problem.strides()
     sigma = problem.table_size
-    configs = problem.configurations().configs
+    if configs is None:
+        configs = problem.configurations().configs
     offsets = [sum(s * st for s, st in zip(cfg, strides)) for cfg in configs]
     table: list[int | None] = [None] * sigma
     table[0] = 0
@@ -88,9 +96,50 @@ class TestKernelPrimitives:
         assert len(levels) == 1
         assert levels[0].tolist() == [0]
 
+    @given(st.lists(st.integers(min_value=1, max_value=9), max_size=5))
+    @settings(max_examples=60)
+    def test_layout_matches_divmod_reference(self, dims):
+        """The outer-sum / radix-argsort build gives the digit sums of an
+        unranking pass, ascending flats per level, and the encoded
+        all-infeasible template with ``OPT(0) = 0``."""
+        dims = tuple(dims)
+        layout = kernels.level_layout(dims)
+        strides = row_major_strides(dims)
+        sigma = math.prod(dims)
+        expected = [
+            sum((f // s) % d for s, d in zip(strides, dims)) for f in range(sigma)
+        ]
+        assert layout.state_levels.tolist() == expected
+        assert [lv.tolist() for lv in layout.levels] == [
+            [f for f in range(sigma) if expected[f] == level]
+            for level in range(sum(dims) - len(dims) + 1)
+        ]
+        kernel = LevelKernel(dims, strides, ())
+        band = [level * kernel.unit + kernel.inf for level in expected]
+        assert layout.template.tolist() == [0, *band[1:]]
+        assert layout.template.dtype == kernel.dtype
+
+    def test_layout_cache_is_bounded_in_bytes(self, monkeypatch):
+        """Shapes above the former 8192-state cut-off are cached too; the
+        least recently used ones go once the byte budget is exceeded,
+        and a layout bigger than the whole budget is not kept."""
+        monkeypatch.setattr(kernels, "_LAYOUT_CACHE_BYTES", 200_000)
+        monkeypatch.setattr(kernels, "_LAYOUTS", OrderedDict())
+        big = kernels.level_layout((100, 100))  # 10,000 states, 140 kB
+        assert big.nbytes == 140_000
+        assert kernels.level_layout((100, 100)) is big
+        kernels.level_layout((50, 60))
+        kernels.level_layout((60, 60))  # 232 kB in total: the oldest shape goes
+        assert list(kernels._LAYOUTS) == [(50, 60), (60, 60)]
+        assert sum(lay.nbytes for lay in kernels._LAYOUTS.values()) <= 200_000
+        huge = kernels.level_layout((200, 200))
+        assert kernels.level_layout((200, 200)) is not huge
+        assert list(kernels._LAYOUTS) == [(50, 60), (60, 60)]
+
     def test_allocate_table_sentinel(self, paper_example_problem):
-        kernel = LevelKernel.for_problem(paper_example_problem)
-        table = kernel.allocate_table(5)
+        p = paper_example_problem
+        kernel = LevelKernel.for_problem(p)
+        table = kernel.decode(kernel.allocate_table(p.table_size))
         assert table[0] == 0
         assert (table[1:] == KERNEL_INFEASIBLE).all()
         assert table_opt(table, 0) == 0
@@ -103,7 +152,7 @@ class TestKernelPrimitives:
         kernel = LevelKernel.for_problem(p)
         table = kernel.allocate_table(p.table_size)
         kernel.sweep(table, build_level_arrays(p.dims))
-        assert table_to_optional(table) == reference_optional_table(p)
+        assert table_to_optional(kernel.decode(table)) == reference_optional_table(p)
 
     def test_update_counts_applicable_configs(self, paper_example_problem):
         p = paper_example_problem
@@ -129,7 +178,7 @@ class TestKernelPrimitives:
         p = paper_example_problem
         table = clone.allocate_table(p.table_size)
         clone.sweep(table, build_level_arrays(p.dims))
-        assert table_to_optional(table) == reference_optional_table(p)
+        assert table_to_optional(clone.decode(table)) == reference_optional_table(p)
 
 
 #: Table-size cap for the fused-kernel properties (the pure-Python oracle
@@ -162,8 +211,6 @@ def fused_block(elements: int | None):
     from contextlib import nullcontext
     from unittest import mock
 
-    from repro.core import kernels
-
     if elements is None:
         return nullcontext()
     return mock.patch.object(kernels, "_FUSED_BLOCK", elements)
@@ -193,7 +240,7 @@ class TestFusedKernelExactness:
         table = kernel.allocate_table(problem.table_size)
         with fused_block(block):
             kernel.sweep(table, build_level_arrays(problem.dims))
-        assert table_to_optional(table) == reference_optional_table(problem)
+        assert table_to_optional(kernel.decode(table)) == reference_optional_table(problem)
 
     @given(fused_problems(), st.randoms(use_true_random=False))
     @settings(max_examples=60)
@@ -210,7 +257,7 @@ class TestFusedKernelExactness:
             rng.shuffle(pieces)
             for piece in pieces:
                 kernel.update(table, np.asarray(piece, dtype=np.int64), level=level)
-        assert table_to_optional(table) == reference_optional_table(problem)
+        assert table_to_optional(kernel.decode(table)) == reference_optional_table(problem)
 
     @given(
         fused_problems(), st.randoms(use_true_random=False),
@@ -233,7 +280,7 @@ class TestFusedKernelExactness:
         with fused_block(block):
             for h in sorted(planes):
                 kernel.update(table, np.asarray(planes[h], dtype=np.int64))
-        assert table_to_optional(table) == reference_optional_table(problem)
+        assert table_to_optional(kernel.decode(table)) == reference_optional_table(problem)
 
     @given(fused_problems(), st.sampled_from([None, 1, 7]))
     @settings(max_examples=40)
@@ -271,7 +318,85 @@ class TestFusedKernelExactness:
         clone = pickle.loads(big_bytes)
         table = clone.allocate_table(big.table_size)
         clone.sweep(table, build_level_arrays(big.dims))
-        assert np.array_equal(table, compute_table(big, 1, "numpy-serial"))
+        assert np.array_equal(clone.decode(table), compute_table(big, 1, "numpy-serial"))
+
+    @given(
+        fused_problems(), st.randoms(use_true_random=False),
+        st.sampled_from([None, 1, 7, 64]),
+    )
+    @settings(max_examples=60)
+    def test_entries_stay_in_their_band(self, problem: DPProblem, rng, block):
+        """Whatever order chunks arrive in — even before their
+        predecessors are final, as a racing reader may see them — every
+        entry stays in its band ``[level * U, level * U + INF]``, which
+        is what puts each invalid candidate above the state's own band.
+        A proper sweep afterwards still yields the exact table."""
+        kernel = LevelKernel.for_problem(problem)
+        levels = build_level_arrays(problem.dims)
+        low = kernels.level_layout(problem.dims).state_levels.astype(np.int64) * kernel.unit
+        table = kernel.allocate_table(problem.table_size)
+
+        def in_band() -> bool:
+            return bool(((table >= low) & (table <= low + kernel.inf)).all())
+
+        assert in_band()
+        with fused_block(block):
+            for _ in range(rng.randint(1, 8)):
+                level = rng.randrange(len(levels))
+                states = levels[level].tolist()
+                chunk = rng.sample(states, rng.randint(1, len(states)))
+                kernel.update(
+                    table, np.asarray(chunk, dtype=np.int64),
+                    level=level if rng.random() < 0.5 else None,
+                )
+                assert in_band()
+            kernel.sweep(table, levels)
+        assert in_band()
+        assert table_to_optional(kernel.decode(table)) == reference_optional_table(problem)
+
+    def test_borrowing_predecessor_on_a_final_level_is_rejected(self):
+        """Sizes (6, 1) under T = 7: for ``v = (3, 0)`` the configuration
+        ``(1, 1)`` borrows and lands on ``(1, 1)``, a final state one level
+        down with ``OPT = 1``.  Only its band (two levels up once shifted)
+        keeps that predecessor from claiming ``OPT(v) = 2``; the answer is
+        three machines."""
+        p = DPProblem((6, 1), (3, 1), 7)
+        kernel = LevelKernel.for_problem(p)
+        table = kernel.allocate_table(p.table_size)
+        kernel.sweep(table, build_level_arrays(p.dims))
+        decoded = table_to_optional(kernel.decode(table))
+        assert decoded == reference_optional_table(p)
+        assert decoded[6] == 3  # v = (3, 0)
+
+    def test_int32_overflow_gets_int64_table(self):
+        """One class of 46,341 jobs: ``(n' + 1) * U`` exceeds the int32
+        range, so the table is int64 and still exact at the top."""
+        p = DPProblem((1,), (46_341,), 1)
+        kernel = LevelKernel.for_problem(p)
+        assert (p.counts[0] + 1) * kernel.unit > np.iinfo(np.int32).max
+        table = kernel.allocate_table(p.table_size)
+        assert table.dtype == np.int64
+        kernel.sweep(table, build_level_arrays(p.dims))
+        assert table_to_optional(kernel.decode(table)) == reference_optional_table(p)
+
+    def test_shifted_candidates_bound_the_int32_choice(self):
+        """Entries stay below ``(n' + 1) * U``, but an entry plus its
+        ``|s| * U + 1`` shift can reach ``(2 n' + 1) * U``: at
+        ``v = (32766, 1)`` the configuration ``(32767, 0)`` borrows, wraps
+        to ``N`` and adds 32767 levels' worth.  The table must be int64
+        although every entry alone would fit in int32."""
+        p = DPProblem((1, 2), (32_767, 1), 65_535)
+        configs = ((0, 1), (1, 0), (32_767, 0))
+        kernel = LevelKernel(p.dims, p.strides(), configs)
+        top = sum(p.counts)
+        assert (top + 1) * kernel.unit <= np.iinfo(np.int32).max
+        assert (2 * top + 1) * kernel.unit > np.iinfo(np.int32).max
+        table = kernel.allocate_table(p.table_size)
+        assert table.dtype == np.int64
+        kernel.sweep(table, build_level_arrays(p.dims))
+        assert table_to_optional(kernel.decode(table)) == reference_optional_table(
+            p, configs
+        )
 
     def test_out_of_box_configurations_apply_nowhere(self):
         """A configuration exceeding a job count matches no state, but its
@@ -285,7 +410,7 @@ class TestFusedKernelExactness:
         kernel = LevelKernel(p.dims, p.strides(), ((1, 0), (0, 2)))
         table = kernel.allocate_table(p.table_size)
         kernel.sweep(table, build_level_arrays(p.dims))
-        assert table_to_optional(table) == reference_optional_table(p) == [0, 1, 2]
+        assert table_to_optional(kernel.decode(table)) == reference_optional_table(p) == [0, 1, 2]
 
 
 class TestBackendsBitIdentical:
@@ -307,6 +432,20 @@ class TestBackendsBitIdentical:
             assert table.dtype == np.int64, backend
             assert table_to_optional(table) == expected, backend
             assert np.array_equal(table, tables["numpy-serial"]), backend
+
+    @given(dp_problems(), st.sampled_from(["levels", "runs"]), st.booleans())
+    @settings(max_examples=20)
+    def test_property_simulated_tables_match_reference(
+        self, problem: DPProblem, schedule, per_state
+    ):
+        if not problem.counts:
+            return
+        table = compute_table(
+            problem, 4, "simulated", schedule=schedule,
+            cost_fidelity="per_state" if per_state else "uniform",
+        )
+        assert table.dtype == np.int64
+        assert table_to_optional(table) == reference_optional_table(problem)
 
     @given(dp_problems())
     @settings(max_examples=20)

@@ -187,6 +187,75 @@ class TestSolveResult:
         assert not again.ok
 
 
+def _asdict_json(obj, *lists: str) -> str:
+    """The wire line as ``dataclasses.asdict`` built it, with the named
+    fields turned into (nested) lists — the encoding ``to_json`` pins."""
+    import json
+    from dataclasses import asdict
+
+    d = asdict(obj)
+    for name in lists:
+        value = getattr(obj, name)
+        if value is not None:
+            d[name] = (
+                [list(grp) for grp in value] if name == "assignment" else list(value)
+            )
+    return json.dumps(d, separators=(",", ":"))
+
+
+class TestWireEncodingPinned:
+    """``to_json`` builds its dict field by field instead of through
+    ``asdict``; the bytes on the wire must not change."""
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            SolveResult(
+                request_id="r1", engine="parallel_ptas", makespan=14,
+                assignment=((0, 1), (2,), ()), guarantee=1.3, elapsed=0.01,
+                cached=True,
+            ),
+            SolveResult(
+                request_id="r2", engine="lpt", makespan=9,
+                assignment=((2, 0), (1,)), guarantee=4 / 3 - 1 / 6,
+                degraded=True, elapsed=0.25,
+            ),
+            SolveResult(status="rejected", retry_after=0.5, error="queue full"),
+            SolveResult(
+                request_id="r3", status="error", engine="ptas",
+                error="bad request: eps must be positive",
+            ),
+            SolveResult(
+                request_id="q", engine="q_lpt", makespan=17 / 3,
+                assignment=((0,), (1, 2)), guarantee=1.5, elapsed=0.002,
+            ),
+        ],
+        ids=["ok", "degraded", "rejected", "error", "q_cmax"],
+    )
+    def test_result_bytes_match_asdict(self, result):
+        assert result.to_json() == _asdict_json(result, "assignment")
+        assert SolveResult.from_json(result.to_json()) == result
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            SolveRequest(times=(5, 4, 3), machines=2, request_id="a"),
+            SolveRequest(
+                times=(7, 7, 6), machines=3, problem="q_cmax", speeds=(1, 2, 4),
+                engine="q_lpt", deadline=0.5, workers="auto", time_limit=2.0,
+            ),
+            SolveRequest(
+                times=(9, 1), machines=2, protocol=1, engine="parallel_ptas",
+                eps=0.1, backend="numpy-serial", mode="speculative",
+            ),
+        ],
+        ids=["p_cmax", "q_cmax_speeds", "v1"],
+    )
+    def test_request_bytes_match_asdict(self, request_):
+        assert request_.to_json() == _asdict_json(request_, "times")
+        assert SolveRequest.from_json(request_.to_json()) == request_
+
+
 class TestDeadlineChecker:
     def test_passes_before_and_raises_after(self):
         now = [0.0]
