@@ -18,8 +18,9 @@ from __future__ import annotations
 from repro import make_instance, parallel_ptas
 from repro.core.bounds import makespan_bounds
 from repro.core.dp import DPProblem
-from repro.core.parallel_dp import build_level_index, parallel_dp
+from repro.core.parallel_dp import parallel_dp
 from repro.core.rounding import round_instance
+from repro.parallel.runs import level_sizes_from_dims
 
 
 def main() -> None:
@@ -30,16 +31,16 @@ def main() -> None:
     target = makespan_bounds(inst).midpoint()
     rounded = round_instance(inst, target, k=4)
     problem = DPProblem(rounded.class_sizes, rounded.class_counts, target)
-    idx = build_level_index(problem)
+    sizes = level_sizes_from_dims(problem.dims)
+    num_levels = len(sizes)
     print(
         f"DP table at T={target}: {rounded.num_classes} classes, "
-        f"sigma={problem.table_size} states over {idx.num_levels} "
+        f"sigma={problem.table_size} states over {num_levels} "
         f"anti-diagonals"
     )
     print("anti-diagonal widths q_l (parallelism available per level):")
-    sizes = idx.sizes
     peak = max(sizes)
-    for l in range(0, idx.num_levels, max(1, idx.num_levels // 12)):
+    for l in range(0, num_levels, max(1, num_levels // 12)):
         bar = "#" * int(sizes[l] / peak * 50)
         print(f"  l={l:3d}  q={sizes[l]:5d} |{bar}")
 

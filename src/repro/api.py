@@ -13,9 +13,8 @@ including its per-problem capability checks — and returns the same
 
 Cross-cutting concerns (deadline hooks, warm starts, tracing, metrics,
 shared executors) travel in a single optional
-:class:`repro.core.context.SolveContext`; the scattered legacy kwargs
-(``warm_start=`` / ``check_deadline=``) on individual solver functions
-are deprecated in favour of this path.
+:class:`repro.core.context.SolveContext`, here and on every solver
+function (``ctx=``); no solver takes them as separate keyword arguments.
 
 >>> import repro
 >>> result = repro.solve(repro.Instance([4, 3, 3, 2], 2), engine="lpt")

@@ -12,9 +12,13 @@ Module map (mirrors the paper's Algorithm 1/2/3 structure):
 * :mod:`repro.core.dp` — sequential dynamic-programming engines computing
   ``OPT(N)`` (Alg. 2): faithful full table, memoized recursion, exact-sum
   BFS frontier, dominance-pruned cover, and a numpy-vectorized sweep.
+* :mod:`repro.core.kernels` — the vectorized level kernel every
+  wavefront backend and the ``numpy`` engine run.
 * :mod:`repro.core.parallel_dp` — the paper's contribution (Alg. 3): the
-  anti-diagonal wavefront parallel DP with serial / thread / process /
-  simulated backends.
+  anti-diagonal wavefront parallel DP.  The serial / thread / process
+  backends run one tile driver (blocks × runs of anti-diagonals, one
+  barrier per tile diagonal); the simulated backend models Alg. 3's
+  per-level schedule or those tiles.
 * :mod:`repro.core.bisection` — the dual-approximation bisection driver
   over target makespans ``T`` (Alg. 1, lines 5–30).
 * :mod:`repro.core.reconstruct` — replacing rounded long jobs by the
@@ -26,7 +30,7 @@ Module map (mirrors the paper's Algorithm 1/2/3 structure):
   :func:`parallel_ptas`.
 """
 
-from repro.core.context import DEFAULT_CONTEXT, SolveContext, resolve_context
+from repro.core.context import DEFAULT_CONTEXT, SolveContext
 from repro.core.ptas import PTASResult, parallel_ptas, ptas
 
 __all__ = [
@@ -35,5 +39,4 @@ __all__ = [
     "PTASResult",
     "SolveContext",
     "DEFAULT_CONTEXT",
-    "resolve_context",
 ]

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.bounds import makespan_bounds
-from repro.core.context import SolveContext, resolve_context
+from repro.core.context import SolveContext
 from repro.core.dp import DPProblem, DPResult
 from repro.core.rounding import RoundedInstance, round_instance, rounding_unit
 from repro.model.instance import Instance
@@ -177,8 +177,6 @@ def bisect_target_makespan(
     job_cap: int | None = None,
     *,
     ctx: SolveContext | None = None,
-    warm_start: bool | None = None,
-    check_deadline: Callable[[], None] | None = None,
 ) -> BisectionOutcome:
     """Run the dual-approximation bisection and return the last feasible
     probe (whose target equals the final ``UB = LB``).
@@ -199,17 +197,8 @@ def bisect_target_makespan(
     :class:`repro.service.requests.DeadlineExceeded`; ``ctx.tracer``
     receives one ``probe`` span per iteration with a nested ``round``
     span (the solver adds ``enumerate``/``dp``/``level`` spans beneath).
-
-    The bare ``warm_start=`` / ``check_deadline=`` kwargs are deprecated
-    shims that build a context and warn; pass ``ctx=`` in new code.
     """
-    ctx = resolve_context(
-        ctx,
-        warm_start=warm_start,
-        check_deadline=check_deadline,
-        default=_FAITHFUL_CONTEXT,
-        caller="bisect_target_makespan",
-    )
+    ctx = ctx if ctx is not None else _FAITHFUL_CONTEXT
     tracer = ctx.tracer
     m = instance.num_machines
     lb = makespan_bounds(instance).lower

@@ -1,10 +1,8 @@
 """The unified solve context: one object carrying every cross-cutting
 concern through the solver stack.
 
-Before this module, each cross-cutting feature grew its own keyword
-argument on every function between the entry point and the code that
-needed it (``warm_start=``, ``check_deadline=``, next a tracer, then a
-metrics handle, …).  :class:`SolveContext` replaces that kwarg sprawl:
+Instead of one keyword argument per cross-cutting feature on every
+function between the entry point and the code that needs it,
 ``ptas`` / ``parallel_ptas`` / ``bisect_target_makespan`` / the DP
 engines all accept a single ``ctx=`` and pass it down unchanged.
 
@@ -20,16 +18,11 @@ The context bundles
   :class:`repro.service.metrics.MetricsRegistry`);
 * ``executor`` — an externally owned worker pool for the wavefront
   backends (the service reuses one pool across requests).
-
-The legacy ``warm_start=`` / ``check_deadline=`` kwargs survive as thin
-deprecation shims (:func:`resolve_context` builds a context from them
-and emits :class:`DeprecationWarning`); new code passes ``ctx=`` only.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.trace import NULL_TRACER
@@ -107,41 +100,3 @@ class SolveContext:
 #: Shared all-defaults context (warm start on, no deadline, no tracing)
 #: used wherever a ``ctx=None`` argument needs resolving.
 DEFAULT_CONTEXT = SolveContext()
-
-
-def _warn_legacy(caller: str, kwarg: str) -> None:
-    """Emit the deprecation warning for one legacy kwarg."""
-    warnings.warn(
-        f"{caller}({kwarg}=...) is deprecated; pass "
-        f"ctx=SolveContext({kwarg}=...) instead, or use the repro.solve() "
-        "facade — the one blessed entry point (docs/api.md)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_context(
-    ctx: SolveContext | None = None,
-    *,
-    warm_start: bool | None = None,
-    check_deadline: Callable[[], None] | None = None,
-    default: SolveContext | None = None,
-    caller: str = "solver",
-) -> SolveContext:
-    """Resolve the effective :class:`SolveContext` for an entry point.
-
-    ``ctx`` wins when given (else ``default``, else
-    :data:`DEFAULT_CONTEXT`).  The legacy ``warm_start=`` /
-    ``check_deadline=`` kwargs are honoured as deprecation shims: each
-    non-``None`` value emits a :class:`DeprecationWarning` naming
-    *caller* and overrides the corresponding context field.
-    """
-    base = ctx if ctx is not None else (default if default is not None else DEFAULT_CONTEXT)
-    updates: dict[str, Any] = {}
-    if warm_start is not None:
-        _warn_legacy(caller, "warm_start")
-        updates["warm_start"] = warm_start
-    if check_deadline is not None:
-        _warn_legacy(caller, "check_deadline")
-        updates["check_deadline"] = check_deadline
-    return replace(base, **updates) if updates else base

@@ -61,6 +61,7 @@ from repro.core.configurations import (
 )
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
 from repro.core.kernels import LevelKernel
+from repro.parallel.runs import level_sizes_from_dims
 
 #: Sentinel for "not computable / unreached" states.
 INFEASIBLE = None
@@ -250,20 +251,73 @@ def _enumerate_traced(
     return configs
 
 
-def _empty_result(engine: str, collect_stats: bool) -> DPResult:
-    stats = (
-        DPStats(
-            sigma=1,
-            num_levels=1,
-            level_sizes=(1,),
-            num_configs=0,
-            states_computed=1,
-            config_scans=0,
-        )
-        if collect_stats
-        else None
+def _stats(
+    problem: DPProblem, num_configs: int, states_computed: int, config_scans: int
+) -> DPStats:
+    """One run's :class:`DPStats`; the anti-diagonal widths come from
+    :func:`repro.parallel.runs.level_sizes_from_dims`, the one level-size
+    function."""
+    level_sizes = tuple(int(q) for q in level_sizes_from_dims(problem.dims))
+    return DPStats(
+        sigma=problem.table_size,
+        num_levels=len(level_sizes),
+        level_sizes=level_sizes,
+        num_configs=num_configs,
+        states_computed=states_computed,
+        config_scans=config_scans,
     )
+
+
+def _empty_result(engine: str, collect_stats: bool) -> DPResult:
+    """The result of a problem without long jobs: ``OPT = 0``, no
+    machines, one (origin) state."""
+    stats = _stats(DPProblem((), (), 0), 0, 1, 0) if collect_stats else None
     return DPResult(opt=0, machine_configs=(), engine=engine, stats=stats)
+
+
+def read_kernel_table(
+    kernel: LevelKernel,
+    table: np.ndarray,
+    problem: DPProblem,
+    configs: ConfigurationSet,
+    engine: str,
+    *,
+    limit: int | None,
+    track_schedule: bool,
+    collect_stats: bool,
+    ctx: SolveContext,
+) -> DPResult:
+    """Read a filled level-encoded :class:`~repro.core.kernels.LevelKernel`
+    table out into a :class:`DPResult` — the one read-out of the
+    ``numpy`` engine and every :mod:`repro.core.parallel_dp` backend.
+
+    Decodes ``OPT(N)``, builds the stats (every non-origin state counts
+    a full scan of ``configs``, as in the ``table`` engine), applies
+    ``limit`` and backtracks under a ``backtrack`` span, decoding only
+    the entries the walk reads.
+    """
+    opt = kernel.opt(table, problem.table_size - 1)
+    if opt is None:  # pragma: no cover - singleton configs guarantee feasibility
+        raise AssertionError("DP table ended infeasible; singleton configs missing?")
+    stats = None
+    if collect_stats:
+        stats = _stats(
+            problem,
+            len(configs),
+            problem.table_size,
+            (problem.table_size - 1) * len(configs),
+        )
+    if limit is not None and opt > limit:
+        return DPResult(opt=None, engine=engine, stats=stats)
+    machine_configs: tuple[tuple[int, ...], ...] = ()
+    if track_schedule:
+        with ctx.span("backtrack", engine=engine):
+            machine_configs = backtrack_schedule(
+                lambda i: kernel.opt(table, i), problem, configs
+            )
+    return DPResult(
+        opt=opt, machine_configs=machine_configs, engine=engine, stats=stats
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +378,7 @@ def solve_table(
     opt = table[sigma - 1]
     if opt is None:  # pragma: no cover - always feasible (singleton configs)
         raise AssertionError("DP table ended infeasible; singleton configs missing?")
-    stats = None
-    if collect_stats:
-        level_sizes = _level_sizes(problem)
-        stats = DPStats(
-            sigma=sigma,
-            num_levels=len(level_sizes),
-            level_sizes=level_sizes,
-            num_configs=len(configs),
-            states_computed=sigma,
-            config_scans=scans,
-        )
+    stats = _stats(problem, len(configs), sigma, scans) if collect_stats else None
     if limit is not None and opt > limit:
         return DPResult(opt=None, engine="table", stats=stats)
     machine_configs: tuple[tuple[int, ...], ...] = ()
@@ -342,15 +386,6 @@ def solve_table(
         with ctx.span("backtrack", engine="table"):
             machine_configs = backtrack_schedule(lambda i: table[i], problem, configs)
     return DPResult(opt=opt, machine_configs=machine_configs, engine="table", stats=stats)
-
-
-def _level_sizes(problem: DPProblem) -> tuple[int, ...]:
-    """``q_l`` for every anti-diagonal ``l = 0..n'`` via a small
-    convolution (no need to enumerate states)."""
-    poly = np.ones(1, dtype=np.int64)
-    for count in problem.counts:
-        poly = np.convolve(poly, np.ones(count + 1, dtype=np.int64))
-    return tuple(int(x) for x in poly)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +441,9 @@ def solve_memo(
         value = opt(problem.counts)
     finally:
         sys.setrecursionlimit(old_limit)
-    stats = None
-    if collect_stats:
-        level_sizes = _level_sizes(problem)
-        stats = DPStats(
-            sigma=problem.table_size,
-            num_levels=len(level_sizes),
-            level_sizes=level_sizes,
-            num_configs=len(configs),
-            states_computed=len(memo) + 1,
-            config_scans=scans,
-        )
+    stats = (
+        _stats(problem, len(configs), len(memo) + 1, scans) if collect_stats else None
+    )
     if limit is not None and value > limit:
         return DPResult(opt=None, engine="memo", stats=stats)
     machine_configs: tuple[tuple[int, ...], ...] = ()
@@ -481,17 +508,9 @@ def solve_frontier(
                 if w == target_vec:
                     found = True
         frontier = next_frontier
-    stats = None
-    if collect_stats:
-        level_sizes = _level_sizes(problem)
-        stats = DPStats(
-            sigma=problem.table_size,
-            num_levels=len(level_sizes),
-            level_sizes=level_sizes,
-            num_configs=len(configs),
-            states_computed=len(depth_of),
-            config_scans=scans,
-        )
+    stats = (
+        _stats(problem, len(configs), len(depth_of), scans) if collect_stats else None
+    )
     if target_vec not in depth_of:
         return DPResult(opt=None, engine="frontier", stats=stats)
     opt = depth_of[target_vec]
@@ -596,17 +615,9 @@ def solve_dominance(
         states_total += len(frontier)
         if any(v == target_vec for v in frontier):
             found = True
-    stats = None
-    if collect_stats:
-        level_sizes = _level_sizes(problem)
-        stats = DPStats(
-            sigma=problem.table_size,
-            num_levels=len(level_sizes),
-            level_sizes=level_sizes,
-            num_configs=len(configs),
-            states_computed=states_total,
-            config_scans=scans,
-        )
+    stats = (
+        _stats(problem, len(configs), states_total, scans) if collect_stats else None
+    )
     if not found:
         return DPResult(opt=None, engine="dominance", stats=stats)
     opt = depth
@@ -648,39 +659,20 @@ def solve_numpy(
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     if not problem.counts:
         return _empty_result("numpy", collect_stats)
-    sigma = problem.table_size
     configs = _enumerate_traced(problem, ctx)
     kernel = LevelKernel.for_problem(problem, configs)
-    table = kernel.allocate_table(sigma)
+    table = kernel.allocate_table(problem.table_size)
     kernel.sweep(table, kernel.layout.levels)
-    # Abstract op count: every configuration considered at every
-    # non-origin state (the fused pass prunes by level, not by this).
-    scans = len(configs) * (sigma - 1)
-    opt_val = kernel.opt(table, sigma - 1)
-    assert opt_val is not None, (
-        "DP must be feasible (singleton configurations exist)"
-    )
-    stats = None
-    if collect_stats:
-        level_sizes = _level_sizes(problem)
-        stats = DPStats(
-            sigma=sigma,
-            num_levels=len(level_sizes),
-            level_sizes=level_sizes,
-            num_configs=len(configs),
-            states_computed=sigma,
-            config_scans=scans,
-        )
-    if limit is not None and opt_val > limit:
-        return DPResult(opt=None, engine="numpy", stats=stats)
-    machine_configs: tuple[tuple[int, ...], ...] = ()
-    if track_schedule:
-        with ctx.span("backtrack", engine="numpy"):
-            machine_configs = backtrack_schedule(
-                lambda i: kernel.opt(table, i), problem, configs
-            )
-    return DPResult(
-        opt=opt_val, machine_configs=machine_configs, engine="numpy", stats=stats
+    return read_kernel_table(
+        kernel,
+        table,
+        problem,
+        configs,
+        "numpy",
+        limit=limit,
+        track_schedule=track_schedule,
+        collect_stats=collect_stats,
+        ctx=ctx,
     )
 
 

@@ -11,33 +11,33 @@ The key structural facts (paper §III):
 Every backend runs the same compute core — the vectorized
 :class:`~repro.core.kernels.LevelKernel` — against one level-encoded
 table, so the recurrence is implemented exactly once and all backends
-are bit-identical by construction.
+are bit-identical by construction.  The filled table is read out by
+:func:`repro.core.dp.read_kernel_table`, which the ``numpy`` engine
+shares.
 
-Schedules
----------
-``levels``
-    The paper's literal schedule: one barrier per anti-diagonal, each
-    level's states round-robin across ``P`` workers.  Faithful, but at
-    realistic probe sizes the per-level dispatch + barrier overhead
-    swamps the work (the benchmarked reason the parallel backends used
-    to lose to the fused serial sweep).
-``runs`` (default for the real backends)
-    The batched tile schedule of :mod:`repro.parallel.runs`: contiguous
-    flat-index *blocks* with persistent per-worker ownership ×
-    contiguous *runs* of levels, executed along tile diagonals with one
-    barrier per diagonal (``B + R - 1`` barriers instead of ``n'``).
-    Race-free because a predecessor state is always in the same-or-lower
-    block *and* the same-or-earlier run (see the dependency argument in
-    ``repro/parallel/runs.py``); within a tile the worker sweeps its
-    levels in order.  Run length adapts to a measured per-level cost
-    model, and the block count never exceeds the CPUs the process can
-    actually use — oversubscription is pure barrier overhead.
+The tile driver
+---------------
+The executor backends (``serial``, ``thread``, ``process``) fill the
+table through one driver, :func:`_drive_tiles`, over the batched tile
+schedule of :mod:`repro.parallel.runs`: contiguous flat-index *blocks*
+with persistent per-worker ownership × contiguous *runs* of levels,
+executed along tile diagonals with one barrier per diagonal
+(``B + R - 1`` barriers instead of ``n'``).  Race-free because a
+predecessor state is always in the same-or-lower block *and* the
+same-or-earlier run (see the dependency argument in
+``repro/parallel/runs.py``); within a tile the worker sweeps its levels
+in order.  Run length adapts to a measured per-level cost model, and
+the block count never exceeds the CPUs the process can actually use —
+oversubscription is pure barrier overhead.  Alg. 3's literal schedule —
+one barrier per anti-diagonal, each level's states round-robin across
+``P`` workers — lost to the fused serial sweep at every worker count
+(``docs/parallelization.md``), so only the simulated backend models it.
 
 Backends
 --------
 ``serial``
-    The wavefront order executed by one worker through the executor
-    machinery — the reference every other backend is diffed against.
+    The tile driver on one in-line worker — the reference every other
+    executor backend is diffed against.
 ``numpy-serial``
     Direct kernel sweep, one vectorized pass per anti-diagonal with no
     executor or partitioning overhead — the fastest single-worker path
@@ -56,10 +56,10 @@ Backends
 ``simulated``
     Serial execution plus deterministic cost accounting on a
     :class:`~repro.simcore.machine.SimulatedMachine` — the testbed
-    substitute used by the speedup experiments (DESIGN.md §6).  Both
-    schedules are supported: ``levels`` reproduces the paper's model,
-    ``runs`` models the batched schedule (one barrier per tile
-    diagonal) for the same table.
+    substitute used by the speedup experiments (DESIGN.md §6).  The one
+    backend with a ``schedule`` choice (:data:`SCHEDULES`): ``levels``
+    (the default) models Alg. 3 per anti-diagonal, ``runs`` models the
+    tiles the executor backends run.
 
 All backends produce exactly the same table, hence the same ``OPT(N)``
 and the same reconstructed machine configurations.
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,15 +77,20 @@ from repro.core.context import DEFAULT_CONTEXT, SolveContext
 from repro.core.dp import (
     DPProblem,
     DPResult,
-    DPStats,
+    _empty_result,
     _enumerate_traced,
-    backtrack_schedule,
+    read_kernel_table,
 )
-from repro.core.kernels import LevelKernel, build_level_arrays
+from repro.core.kernels import LevelKernel
 from repro.parallel.cpus import usable_cpus
 from repro.parallel.executor import Executor, make_executor
-from repro.parallel.partition import round_robin_partition
-from repro.parallel.runs import KernelCostModel, TilePlan, build_tiles, plan_tiles
+from repro.parallel.runs import (
+    KernelCostModel,
+    TilePlan,
+    build_tiles,
+    level_sizes_from_dims,
+    plan_tiles,
+)
 from repro.simcore.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.simcore.machine import SimulatedMachine
 
@@ -96,7 +100,7 @@ BACKENDS = ("serial", "numpy-serial", "thread", "process", "simulated")
 #: and therefore accept an externally owned (persistent) one.
 EXECUTOR_BACKENDS = ("serial", "thread", "process")
 
-#: Wavefront schedules (see module docstring).
+#: Wavefront schedules the simulated backend models (see module docstring).
 SCHEDULES = ("levels", "runs")
 
 #: Tables below this size skip the timed cost-model measurement when
@@ -118,41 +122,9 @@ _OVERDECOMPOSE = 2
 _COST_CACHE: dict[tuple[int, int], KernelCostModel] = {}
 
 
-@dataclass(frozen=True, eq=False)
-class LevelIndex:
-    """Flat state indices of every anti-diagonal, in row-major order.
-
-    ``levels[l]`` is the ``int64`` index array of DP-table entries with
-    component sum ``l`` — the materialized form of Alg. 3's ``D`` array
-    plus the per-level grouping its main loop performs with the
-    ``d_i = l`` test.  Levels stay numpy arrays end-to-end (partitioned
-    by strided slicing, consumed by the vectorized kernel) — no
-    per-state boxing into Python ints.
-    """
-
-    levels: tuple[np.ndarray, ...]
-
-    @property
-    def num_levels(self) -> int:
-        """Number of anti-diagonals (``n' + 1``)."""
-        return len(self.levels)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        """``q_l`` for every level."""
-        return tuple(len(lv) for lv in self.levels)
-
-
-def build_level_index(problem: DPProblem) -> LevelIndex:
-    """Group all ``sigma`` states by anti-diagonal (vectorized; shared
-    per table shape through :func:`repro.core.kernels.level_layout`)."""
-    return LevelIndex(build_level_arrays(problem.dims))
-
-
 def _plan_for(
     problem: DPProblem,
     kernel: LevelKernel,
-    level_index: LevelIndex,
     num_blocks: int,
     *,
     measured: bool = True,
@@ -162,25 +134,38 @@ def _plan_for(
     skips the host timing probe entirely — the simulated backend plans
     from the static defaults so its geometry is deterministic (the
     simulator's currency is ops, not host seconds)."""
+    levels = kernel.layout.levels
     cost: KernelCostModel | None = None
-    if (
-        measured
-        and problem.table_size >= _MEASURE_THRESHOLD
-        and level_index.num_levels > 1
-    ):
+    if measured and problem.table_size >= _MEASURE_THRESHOLD and len(levels) > 1:
         key = (kernel.num_configs, len(problem.dims))
         cost = _COST_CACHE.get(key)
         if cost is None:
-            biggest = max(level_index.levels[1:], key=len)
+            biggest = max(levels[1:], key=len)
             cost = KernelCostModel.measure(kernel, biggest, problem.table_size)
             _COST_CACHE[key] = cost
     return plan_tiles(
-        level_index.sizes,
+        level_sizes_from_dims(problem.dims),
         problem.table_size,
         num_blocks,
         num_configs=kernel.num_configs,
         cost=cost,
     )
+
+
+def _run_tile(
+    kernel: LevelKernel, table: np.ndarray, start_level: int, chunks: list
+) -> tuple[int, float]:
+    """Sweep one tile — one block's chunks of consecutive levels from
+    ``start_level`` — in level order; returns ``(states, seconds)`` for
+    the driver's utilization counters.  The body of every executor
+    backend's tile, in-process or in a pool worker."""
+    t0 = time.perf_counter()
+    states = 0
+    for i, flats in enumerate(chunks):
+        if len(flats):
+            kernel.update(table, flats, level=start_level + i)
+            states += len(flats)
+    return states, time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -211,43 +196,23 @@ def _attach_worker(token, shm_name, sigma, kernel):  # pragma: no cover - worker
     return state
 
 
-def _process_worker_run(payload: tuple) -> None:  # pragma: no cover - workers
-    """Run one chunk of one level inside a pool worker (``levels``
-    schedule).  ``payload`` is ``(token, shm_name, sigma, kernel, level,
-    flats)``."""
-    token, shm_name, sigma, kernel, level, flats = payload
-    _, table, kernel = _attach_worker(token, shm_name, sigma, kernel)
-    kernel.update(table, np.asarray(flats, dtype=np.int64), level=level)
-
-
 def _process_tile_run(payload: tuple):  # pragma: no cover - workers
-    """Run one tile (one block × one run of levels) inside a pool worker
-    (``runs`` schedule).  ``payload`` is ``(token, shm_name, sigma,
-    kernel, start_level, chunks)``; returns ``(states, seconds)`` for
-    the driver's utilization counters."""
+    """Run one tile inside a pool worker.  ``payload`` is ``(token,
+    shm_name, sigma, kernel, start_level, chunks)``."""
     token, shm_name, sigma, kernel, start_level, chunks = payload
     _, table, kernel = _attach_worker(token, shm_name, sigma, kernel)
-    t0 = time.perf_counter()
-    states = 0
-    for i, flats in enumerate(chunks):
-        if len(flats):
-            kernel.update(table, flats, level=start_level + i)
-            states += len(flats)
-    return states, time.perf_counter() - t0
+    return _run_tile(kernel, table, start_level, chunks)
 
 
 def _run_process_backend(
     problem: DPProblem,
     kernel: LevelKernel,
-    level_index: LevelIndex,
-    num_workers: int,
-    executor: Executor | None,
+    ex: Executor,
     ctx: SolveContext,
-    schedule: str,
     plan: TilePlan | None,
 ) -> np.ndarray:
-    """Fill the table in shared memory (of the kernel's dtype) with pool
-    workers; returns a copy."""
+    """Fill the table in shared memory (of the kernel's dtype) with the
+    pool workers of *ex*; returns a copy."""
     from multiprocessing import shared_memory
 
     sigma = problem.table_size
@@ -256,36 +221,8 @@ def _run_process_backend(
     try:
         table = np.ndarray((sigma,), dtype=kernel.dtype, buffer=shm.buf)
         kernel.init_table(table)
-        owns = executor is None
-        ex = executor if executor is not None else make_executor(
-            "process", num_workers
-        )
-        token = next(_PROBE_TOKENS)
-        try:
-            if schedule == "runs":
-                def make_payload(start_level: int, chunks: list) -> tuple:
-                    return (token, shm.name, sigma, kernel, start_level, chunks)
-
-                _drive_tiles(
-                    problem, kernel, level_index, ex, ctx, plan,
-                    _process_tile_run, make_payload,
-                )
-            else:
-                for level, flats in enumerate(level_index.levels[1:], start=1):
-                    with ctx.span("level", level=level, states=len(flats)):
-                        chunks = round_robin_partition(flats, ex.num_workers)
-                        payloads = [
-                            (token, shm.name, sigma, kernel, level,
-                             np.ascontiguousarray(c))
-                            if len(c)
-                            else ()
-                            for c in chunks
-                        ]
-                        ex.map_chunks(_process_worker_run, payloads)
-                ctx.count("levels", level_index.num_levels - 1)
-        finally:
-            if owns:
-                ex.close()
+        head = (next(_PROBE_TOKENS), shm.name, sigma, kernel)
+        _drive_tiles(problem, kernel, ex, ctx, plan, _process_tile_run, head)
         return table.copy()
     finally:
         shm.close()
@@ -299,13 +236,12 @@ def _run_process_backend(
 def _drive_tiles(
     problem: DPProblem,
     kernel: LevelKernel,
-    level_index: LevelIndex,
     ex: Executor,
     ctx: SolveContext,
     plan: TilePlan | None,
     tile_fn,
-    make_payload,
-) -> TilePlan:
+    head: tuple = (),
+) -> None:
     """Execute the tile-diagonal schedule on *ex*: one ``map_chunks``
     call (= one barrier) per diagonal, block ``b`` always on chunk slot
     ``b`` so pooled workers keep touching the same table region.  By
@@ -313,17 +249,18 @@ def _drive_tiles(
     (:data:`_OVERDECOMPOSE`) and fold back as ``block % workers``, which
     smooths the per-diagonal load imbalance of contiguous flat ranges.
 
-    ``tile_fn(payload)`` must return ``(states, seconds)``;
-    ``make_payload(start_level, chunks)`` builds the per-tile payload
-    (the thread path closes over the shared table, the process path
-    ships shared-memory coordinates).  Emits one ``run`` span per
-    diagonal and per-worker utilization counters at the end.
+    ``tile_fn(head + (start_level, chunks))`` runs one tile and returns
+    ``(states, seconds)`` (see :func:`_run_tile`); ``head`` carries
+    whatever locates the table — nothing for the in-process backends,
+    whose ``tile_fn`` closes over it, shared-memory coordinates for the
+    process pool.  Emits one ``run`` span per diagonal and per-worker
+    utilization counters at the end.
     """
     if plan is None:
         workers = max(1, min(ex.num_workers, usable_cpus()))
         blocks = workers if workers == 1 else _OVERDECOMPOSE * workers
-        plan = _plan_for(problem, kernel, level_index, blocks)
-    tiles = build_tiles(level_index.levels, plan)
+        plan = _plan_for(problem, kernel, blocks)
+    tiles = build_tiles(kernel.layout.levels, plan)
     tile_states = [
         [sum(len(c) for c in chunks) for chunks in per_block]
         for per_block in tiles
@@ -337,7 +274,7 @@ def _drive_tiles(
         span_states = 0
         for b, r in active:
             if tile_states[r][b]:
-                payloads[b] = make_payload(plan.runs[r][0], tiles[r][b])
+                payloads[b] = (*head, plan.runs[r][0], tiles[r][b])
                 span_states += tile_states[r][b]
         with ctx.span(
             "run", diagonal=t, tiles=len(active), states=span_states
@@ -353,14 +290,11 @@ def _drive_tiles(
             ctx.record_metric(f"wavefront.worker.{b}.states", states_done[b])
             ctx.record_metric(f"wavefront.worker.{b}.busy_us", busy_us[b])
     ctx.record_metric("wavefront.diagonals", max(plan.num_diagonals, 0))
-    return plan
 
 
 def _run_simulated(
     problem: DPProblem,
     kernel: LevelKernel,
-    level_index: LevelIndex,
-    table: np.ndarray,
     num_workers: int,
     machine: SimulatedMachine | None,
     cost_model: CostModel | None,
@@ -370,8 +304,10 @@ def _run_simulated(
     ctx: SolveContext,
 ) -> np.ndarray:
     """Serial fill + deterministic cost accounting, either per level
-    (the paper's schedule) or per tile diagonal (the batched one)."""
+    (Alg. 3's schedule) or per tile diagonal (the executor backends')."""
     sigma = problem.table_size
+    table = kernel.allocate_table(sigma)
+    levels = kernel.layout.levels
     model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     sim = machine if machine is not None else SimulatedMachine(
         num_workers, model
@@ -385,12 +321,10 @@ def _run_simulated(
         p = sim.num_processors
         if plan is None:
             blocks = p if p == 1 else _OVERDECOMPOSE * p
-            plan = _plan_for(
-                problem, kernel, level_index, blocks, measured=False
-            )
+            plan = _plan_for(problem, kernel, blocks, measured=False)
         # Initialization of OPT(0,...,0) by one processor.
         sim.record_uniform_level(0, 1, model.state_overhead_ops)
-        tiles = build_tiles(level_index.levels, plan)
+        tiles = build_tiles(levels, plan)
         for t in range(plan.num_diagonals):
             active = plan.tiles_on_diagonal(t)
             busy = [0.0] * p
@@ -417,7 +351,7 @@ def _run_simulated(
             ctx.count("runs")
         return table
 
-    for level, flats in enumerate(level_index.levels):
+    for level, flats in enumerate(levels):
         if level == 0:
             # Initialization of OPT(0,...,0) by one processor.
             sim.record_uniform_level(0, 1, model.state_overhead_ops)
@@ -432,7 +366,7 @@ def _run_simulated(
                 )
             else:
                 sim.record_uniform_level(level, len(flats), cost_per_state)
-    ctx.count("levels", level_index.num_levels - 1)
+    ctx.count("levels", len(levels) - 1)
     return table
 
 
@@ -470,8 +404,9 @@ def _check_options(
     schedule: str | None,
     executor: Executor | None,
 ) -> None:
-    """Reject unknown backends, schedules and fidelities, a worker count
-    below one, and an executor on a backend that runs without one."""
+    """Reject unknown backends, schedules and fidelities, the ``levels``
+    schedule off the simulated backend, a worker count below one, and
+    an executor on a backend that runs without one."""
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
@@ -485,6 +420,11 @@ def _check_options(
     if schedule is not None and schedule not in SCHEDULES:
         raise ValueError(
             f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
+        )
+    if schedule == "levels" and backend != "simulated":
+        raise ValueError(
+            "schedule 'levels' is the simulated backend's model of Alg. 3's "
+            f"per-level fan-out; backend {backend!r} does not run it"
         )
     if executor is not None and backend not in EXECUTOR_BACKENDS:
         raise ValueError(
@@ -510,17 +450,17 @@ def compute_table(
 
     The returned ``int64`` array holds ``OPT`` per state and the
     :data:`~repro.core.kernels.KERNEL_INFEASIBLE` sentinel; all backends
-    and both schedules return bit-identical tables.  ``executor`` lets a
-    caller own a persistent pool across many probes (serial/thread/
-    process backends); when omitted, ``ctx.executor`` is adopted (never
-    closed) if set and compatible, else a fresh executor is created and
-    closed per call.
+    and both simulated schedules return bit-identical tables.
+    ``executor`` lets a caller own a persistent pool across many probes
+    (serial/thread/process backends); when omitted, ``ctx.executor`` is
+    adopted (never closed) if set and compatible, else a fresh executor
+    is created and closed per call.
 
-    ``schedule`` selects the wavefront granularity (:data:`SCHEDULES`):
-    ``"runs"`` (default for the executor backends) is the batched tile
-    schedule, ``"levels"`` the paper's per-anti-diagonal fan-out (and the
-    default for the simulated backend, whose existing accounting
-    consumers expect per-level traces).  ``plan`` overrides the adaptive
+    ``schedule`` is the simulated backend's choice (:data:`SCHEDULES`):
+    ``"levels"`` (its default) models Alg. 3's per-anti-diagonal
+    fan-out, ``"runs"`` the batched tile schedule.  The executor
+    backends always run tiles (``"runs"`` is accepted, ``"levels"``
+    raises ``ValueError``).  ``plan`` overrides the adaptive
     :class:`~repro.parallel.runs.TilePlan` (tests and benchmarks pin
     block/run geometry with it).
 
@@ -561,69 +501,37 @@ def _fill_table(
     and the entries backtracking reads.  Options are checked by the
     callers (:func:`_check_options`)."""
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-    if executor is None and backend in EXECUTOR_BACKENDS:
-        executor = ctx.executor
-    levels = kernel.layout.levels
     if backend == "numpy-serial":
         table = kernel.allocate_table(problem.table_size)
+        levels = kernel.layout.levels
         if ctx.tracer.enabled:
             _traced_sweep(kernel, table, levels, ctx)
         else:
             kernel.sweep(table, levels)
         return table
-    level_index = LevelIndex(levels)
-    if schedule is None:
-        schedule = "runs" if backend in EXECUTOR_BACKENDS else "levels"
-
-    if backend == "process":
-        return _run_process_backend(
-            problem, kernel, level_index, num_workers, executor, ctx,
-            schedule, plan,
-        )
-
-    table = kernel.allocate_table(problem.table_size)
     if backend == "simulated":
         return _run_simulated(
-            problem, kernel, level_index, table, num_workers, machine,
-            cost_model, cost_fidelity, schedule, plan, ctx,
+            problem, kernel, num_workers, machine, cost_model, cost_fidelity,
+            schedule or "levels", plan, ctx,
         )
 
-    # serial / thread: executor-driven chunks over the one shared table.
+    # serial / thread / process: the tile driver on one executor.
+    if executor is None:
+        executor = ctx.executor
     owns = executor is None
     ex = executor if executor is not None else make_executor(backend, num_workers)
     try:
-        if schedule == "runs":
-            def tile_worker(payload):
-                start_level, chunks = payload
-                t0 = time.perf_counter()
-                states = 0
-                for i, flats in enumerate(chunks):
-                    if len(flats):
-                        kernel.update(table, flats, level=start_level + i)
-                        states += len(flats)
-                return states, time.perf_counter() - t0
-
-            _drive_tiles(
-                problem, kernel, level_index, ex, ctx, plan,
-                tile_worker, lambda lo, chunks: (lo, chunks),
-            )
-        else:
-            def worker(item):
-                level, flats = item
-                kernel.update(table, flats, level=level)
-
-            for level, flats in enumerate(level_index.levels[1:], start=1):
-                with ctx.span("level", level=level, states=len(flats)):
-                    chunks = round_robin_partition(flats, ex.num_workers)
-                    ex.map_chunks(
-                        worker,
-                        [(level, c) if len(c) else () for c in chunks],
-                    )
-            ctx.count("levels", level_index.num_levels - 1)
+        if backend == "process":
+            return _run_process_backend(problem, kernel, ex, ctx, plan)
+        table = kernel.allocate_table(problem.table_size)
+        _drive_tiles(
+            problem, kernel, ex, ctx, plan,
+            lambda payload: _run_tile(kernel, table, *payload),
+        )
+        return table
     finally:
         if owns:
             ex.close()
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +579,9 @@ def parallel_dp(
         each state, which varies across a level and lets assignment
         policies (round-robin vs dynamic) be compared meaningfully.
     schedule / plan:
-        Wavefront granularity (:data:`SCHEDULES`) and an optional
-        explicit :class:`~repro.parallel.runs.TilePlan` — see
-        :func:`compute_table`.
+        The simulated backend's modeled schedule (:data:`SCHEDULES`) and
+        an optional explicit :class:`~repro.parallel.runs.TilePlan` —
+        see :func:`compute_table`.
     executor:
         Externally owned executor for the serial/thread/process
         backends.  The bisection driver passes one persistent
@@ -698,31 +606,19 @@ def parallel_dp(
     """
     _check_options(backend, num_workers, cost_fidelity, schedule, executor)
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
+    engine = f"parallel-{backend}"
     if not problem.counts:
-        stats = (
-            DPStats(
-                sigma=1,
-                num_levels=1,
-                level_sizes=(1,),
-                num_configs=0,
-                states_computed=1,
-                config_scans=0,
-            )
-            if collect_stats
-            else None
-        )
         if backend == "simulated" and machine is not None:
             machine.record_sequential(0.0)
-        return DPResult(opt=0, engine=f"parallel-{backend}", stats=stats)
+        return _empty_result(engine, collect_stats)
 
     if configs is None:
         configs = _enumerate_traced(problem, ctx)
     kernel = LevelKernel.for_problem(problem, configs)
-    sigma = problem.table_size
     with ctx.span(
         "dp",
-        engine=f"parallel-{backend}",
-        sigma=sigma,
+        engine=engine,
+        sigma=problem.table_size,
         backend=backend,
         workers=num_workers,
     ) as dp_span:
@@ -739,32 +635,16 @@ def parallel_dp(
             plan=plan,
             ctx=ctx,
         )
-        opt = kernel.opt(table, sigma - 1)
-        dp_span.set(opt=opt)
-    if opt is None:  # pragma: no cover - singleton configs guarantee feasibility
-        raise AssertionError("parallel DP ended infeasible")
-    stats = None
-    if collect_stats:
-        level_sizes = tuple(len(lv) for lv in kernel.layout.levels)
-        stats = DPStats(
-            sigma=sigma,
-            num_levels=len(level_sizes),
-            level_sizes=level_sizes,
-            num_configs=len(configs),
-            states_computed=sigma,
-            config_scans=sigma * len(configs),
-        )
-    if limit is not None and opt > limit:
-        return DPResult(opt=None, engine=f"parallel-{backend}", stats=stats)
-    machine_configs: tuple[tuple[int, ...], ...] = ()
-    if track_schedule:
-        with ctx.span("backtrack", engine=f"parallel-{backend}"):
-            machine_configs = backtrack_schedule(
-                lambda i: kernel.opt(table, i), problem, configs
-            )
-    return DPResult(
-        opt=opt,
-        machine_configs=machine_configs,
-        engine=f"parallel-{backend}",
-        stats=stats,
+    result = read_kernel_table(
+        kernel,
+        table,
+        problem,
+        configs,
+        engine,
+        limit=limit,
+        track_schedule=track_schedule,
+        collect_stats=collect_stats,
+        ctx=ctx,
     )
+    dp_span.set(opt=result.opt)
+    return result

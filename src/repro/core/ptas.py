@@ -16,11 +16,10 @@ the sequential one, so it inherits the guarantee verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from repro.core.bisection import BisectionOutcome, bisect_target_makespan
 from repro.core.bounds import makespan_bounds
-from repro.core.context import SolveContext, resolve_context
+from repro.core.context import DEFAULT_CONTEXT, SolveContext
 from repro.core.dp import DPProblem, DPResult, _enumerate_traced, solve
 from repro.core.parallel_dp import BACKENDS, EXECUTOR_BACKENDS, parallel_dp
 from repro.core.rounding import accuracy_parameter, round_instance
@@ -115,8 +114,6 @@ def ptas(
     collect_stats: bool = False,
     guarantee_fix: bool = True,
     ctx: SolveContext | None = None,
-    warm_start: bool | None = None,
-    check_deadline: Callable[[], None] | None = None,
 ) -> PTASResult:
     """Sequential Hochbaum–Shmoys PTAS (Algorithm 1).
 
@@ -150,10 +147,6 @@ def ptas(
         ``solve`` span; probes, DP phases and wavefront levels nest
         beneath it) and metrics.  Defaults to
         :data:`~repro.core.context.DEFAULT_CONTEXT`.
-    warm_start, check_deadline:
-        Deprecated kwarg shims — each emits a :class:`DeprecationWarning`
-        and overrides the corresponding ``ctx`` field.  Pass ``ctx=`` in
-        new code.
 
     Examples
     --------
@@ -162,9 +155,7 @@ def ptas(
     >>> result.schedule.makespan <= 1.3 * 14
     True
     """
-    ctx = resolve_context(
-        ctx, warm_start=warm_start, check_deadline=check_deadline, caller="ptas"
-    )
+    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     k = accuracy_parameter(eps)
 
     def solver(problem: DPProblem, m: int) -> DPResult:
@@ -329,8 +320,6 @@ def parallel_ptas(
     collect_stats: bool = False,
     guarantee_fix: bool = True,
     ctx: SolveContext | None = None,
-    warm_start: bool | None = None,
-    check_deadline: Callable[[], None] | None = None,
 ) -> PTASResult:
     """Parallel approximation algorithm (paper §III): Algorithm 1 with the
     DP replaced by the wavefront Parallel DP (Alg. 3).
@@ -365,8 +354,6 @@ def parallel_ptas(
         executor for the pooled backends — see :func:`ptas`.  When
         ``ctx.executor`` is set the driver runs every probe on it and
         never closes it.
-    warm_start, check_deadline:
-        Deprecated kwarg shims (``DeprecationWarning``); pass ``ctx=``.
 
     For the thread and process backends the driver owns one persistent
     reusable worker pool (``make_executor(..., reuse=True)``) that every
@@ -396,12 +383,7 @@ def parallel_ptas(
         raise ValueError(
             f"unknown mode {mode!r}; expected one of {sorted(MODES)}"
         )
-    ctx = resolve_context(
-        ctx,
-        warm_start=warm_start,
-        check_deadline=check_deadline,
-        caller="parallel_ptas",
-    )
+    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     k = accuracy_parameter(eps)
     if mode == "auto":
         mode = (

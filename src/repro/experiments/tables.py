@@ -20,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.algorithms.list_scheduling import list_scheduling
 from repro.algorithms.lpt import lpt
 from repro.core.dp import DPProblem, solve_table
-from repro.core.parallel_dp import build_level_index, parallel_dp
+from repro.core.parallel_dp import parallel_dp
 from repro.core.ptas import parallel_ptas
 from repro.exact.ilp import ilp_solve
 from repro.experiments.reporting import ascii_table
@@ -275,14 +273,3 @@ def run_table3(scale: str = "smoke", base_seed: int = 0) -> TableResult:
         "Table III: worst-case instances for the parallel PTAS",
         _select(records, best=False),
     )
-
-
-# ---------------------------------------------------------------------------
-# Level-structure helper shared with the benchmarks
-# ---------------------------------------------------------------------------
-
-def level_histogram(problem: DPProblem) -> np.ndarray:
-    """``q_l`` per anti-diagonal, computed from the level index — used by
-    the wavefront ablation bench and cross-checked against
-    ``DPStats.level_sizes`` in tests."""
-    return np.array(build_level_index(problem).sizes, dtype=np.int64)

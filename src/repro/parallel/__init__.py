@@ -2,17 +2,18 @@
 
 The paper's Parallel DP (Alg. 3) is a sequence of barriers: each
 anti-diagonal of the DP table is a *level*, the subproblems within a level
-are independent, and levels must complete in order.  This subpackage
-provides the generic machinery:
+are independent, and levels must complete in order.  The real backends
+batch those barriers into tiles; this subpackage provides the machinery
+that :mod:`repro.core.parallel_dp`'s one tile driver runs on:
 
-* :mod:`repro.parallel.partition` — the round-robin / block partitioning
-  of a level's work across ``P`` workers (the "parallel for" of Alg. 3).
+* :mod:`repro.parallel.runs` — the tile plan: contiguous flat-index
+  blocks × runs of levels, executed one tile diagonal per barrier, plus
+  the anti-diagonal widths of a table (:func:`~repro.parallel.runs.level_sizes_from_dims`).
 * :mod:`repro.parallel.executor` — pluggable backends that execute one
-  level's chunks: in-line serial, shared-memory threads, or a process
+  diagonal's tiles: in-line serial, shared-memory threads, or a process
   pool.  The simulated multicore machine lives in :mod:`repro.simcore`.
-* :mod:`repro.parallel.wavefront` — the level-synchronous driver that
-  strings partitioning and execution together and exposes per-level hooks
-  used for cost accounting.
+* :mod:`repro.parallel.cpus` — the CPUs a process can actually use, which
+  caps the block count.
 """
 
 from repro.parallel.executor import (
@@ -22,8 +23,6 @@ from repro.parallel.executor import (
     ThreadExecutor,
     make_executor,
 )
-from repro.parallel.partition import block_partition, round_robin_partition
-from repro.parallel.wavefront import WavefrontRun, run_wavefront
 
 __all__ = [
     "Executor",
@@ -31,8 +30,4 @@ __all__ = [
     "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
-    "round_robin_partition",
-    "block_partition",
-    "run_wavefront",
-    "WavefrontRun",
 ]

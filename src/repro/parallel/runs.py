@@ -10,7 +10,7 @@ parallelized, which is why the benchmarks showed every parallel backend
 
 This module plans the coarse replacement.  The state space is cut into
 ``B`` contiguous flat-index *blocks* (persistent per-worker ownership,
-:func:`repro.parallel.partition.flat_block_bounds`) and the levels into
+:func:`flat_block_bounds`) and the levels into
 ``R`` contiguous *runs*; the unit of scheduling is the **tile** — one
 block × one run of levels.  Tiles execute along tile anti-diagonals:
 on diagonal ``t`` every block ``b`` works on run ``t - b``, and there is
@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-
-from repro.parallel.partition import flat_block_bounds, split_level_by_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kernels import LevelKernel
@@ -246,6 +244,58 @@ def plan_tiles(
         ),
         runs=run_ranges,
     )
+
+
+# ---------------------------------------------------------------------------
+# Contiguous flat-index blocks (persistent per-worker ownership)
+# ---------------------------------------------------------------------------
+
+def flat_block_bounds(table_size: int, num_blocks: int) -> np.ndarray:
+    """Boundaries of ``num_blocks`` contiguous, near-equal flat-index
+    blocks covering ``[0, table_size)``.
+
+    Returns an ``int64`` array of ``num_blocks + 1`` ascending bounds;
+    block ``b`` owns flat indices ``[bounds[b], bounds[b+1])``.  The
+    same bounds are used for *every* level of a probe, which is what
+    gives a worker persistent ownership of its slice of the table: the
+    rows it writes at level ``l`` are the rows it reads from at later
+    levels whenever the predecessor stays in-block.
+
+    >>> flat_block_bounds(10, 3).tolist()
+    [0, 4, 7, 10]
+    """
+    if num_blocks < 1:
+        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
+    if table_size < 0:
+        raise ValueError(f"table_size must be >= 0, got {table_size}")
+    base, extra = divmod(table_size, num_blocks)
+    sizes = [base + (1 if b < extra else 0) for b in range(num_blocks)]
+    return np.cumsum([0] + sizes, dtype=np.int64)
+
+
+def split_level_by_blocks(
+    level: np.ndarray, bounds: np.ndarray
+) -> list[np.ndarray]:
+    """Split one level's ascending flat-index array at the block bounds.
+
+    ``level`` must be sorted ascending (how
+    :func:`repro.core.kernels.build_level_arrays` emits anti-diagonals);
+    the split is two ``searchsorted`` calls per block boundary, no
+    copying.  Levels narrower than the block count yield empty chunks
+    for the blocks that own none of their states — including fully
+    empty levels, which yield all-empty chunks.
+
+    >>> import numpy as np
+    >>> [c.tolist() for c in split_level_by_blocks(
+    ...     np.array([1, 3, 4, 8], dtype=np.int64),
+    ...     flat_block_bounds(10, 3))]
+    [[1, 3], [4], [8]]
+    """
+    level = np.asarray(level, dtype=np.int64)
+    cuts = np.searchsorted(level, bounds, side="left")
+    return [
+        level[cuts[b] : cuts[b + 1]] for b in range(len(bounds) - 1)
+    ]
 
 
 def build_tiles(

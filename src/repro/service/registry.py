@@ -33,7 +33,6 @@ valid (engine, problem) pairs.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -63,7 +62,6 @@ from repro.service.requests import STATUS_OK, SolveResult, deadline_checker
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.requests import SolveRequest
 
-CheckDeadline = Callable[[], None]
 SolverFn = Callable[
     ["Instance | QInstance", "SolveRequest", "SolveContext | None"],
     "Schedule | QSchedule",
@@ -94,20 +92,6 @@ def build_solve_context(
     if tracer is not None:
         kwargs["tracer"] = tracer
     return SolveContext(**kwargs)
-
-
-def _coerce_ctx(ctx: "SolveContext | CheckDeadline | None") -> SolveContext | None:
-    """Accept the legacy bare ``check_deadline`` callable in the third
-    adapter slot, warning and wrapping it into a context."""
-    if ctx is None or isinstance(ctx, SolveContext):
-        return ctx
-    warnings.warn(
-        "passing a bare check_deadline callable to an engine adapter is "
-        "deprecated; pass a SolveContext (see build_solve_context)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SolveContext(check_deadline=ctx)
 
 
 class UnknownEngineError(ValueError):
@@ -161,7 +145,7 @@ class EngineSpec:
 def _solve_ptas(
     instance: Instance,
     request: "SolveRequest",
-    ctx: "SolveContext | CheckDeadline | None",
+    ctx: "SolveContext | None",
 ) -> Schedule:
     if request.dp_engine not in SEQUENTIAL_ENGINES:
         raise UnknownEngineError(
@@ -172,14 +156,14 @@ def _solve_ptas(
         instance,
         request.eps,
         engine=request.dp_engine,
-        ctx=_coerce_ctx(ctx),
+        ctx=ctx,
     ).schedule
 
 
 def _solve_parallel_ptas(
     instance: Instance,
     request: "SolveRequest",
-    ctx: "SolveContext | CheckDeadline | None",
+    ctx: "SolveContext | None",
 ) -> Schedule:
     if request.backend not in BACKENDS:
         raise UnknownEngineError(
@@ -197,7 +181,7 @@ def _solve_parallel_ptas(
         num_workers=resolve_workers(request.workers),
         backend=request.backend,
         mode=request.mode,
-        ctx=_coerce_ctx(ctx),
+        ctx=ctx,
     ).schedule
 
 
@@ -205,7 +189,7 @@ def _solve_exact(method: str) -> SolverFn:
     def run(
         instance: Instance,
         request: "SolveRequest",
-        ctx: "SolveContext | CheckDeadline | None",
+        ctx: "SolveContext | None",
     ) -> Schedule:
         from repro.exact.api import solve_exact
 
@@ -223,7 +207,7 @@ def _solve_baseline(
     def run(
         instance: "Instance | QInstance",
         request: "SolveRequest",
-        ctx: "SolveContext | CheckDeadline | None",
+        ctx: "SolveContext | None",
     ) -> "Schedule | QSchedule":
         if isinstance(instance, QInstance):
             if q_fn is None:  # pragma: no cover - capability check runs first

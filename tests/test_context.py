@@ -1,12 +1,12 @@
 """Tests for :mod:`repro.core.context`: the unified SolveContext API,
-the deprecation shims that replace the legacy kwargs, and the service's
-context construction."""
+the removal of the legacy kwargs it replaced, and the service's context
+construction."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import DEFAULT_CONTEXT, SolveContext, parallel_ptas, ptas, resolve_context
+from repro.core import SolveContext, parallel_ptas, ptas
 from repro.core.bisection import bisect_target_makespan
 from repro.core.dp import solve
 from repro.model.instance import Instance
@@ -58,49 +58,20 @@ class TestSolveContext:
         assert [s.kind for s in tracer.walk()] == ["probe"]
 
 
-class TestResolveContext:
-    def test_plain_defaults(self):
-        assert resolve_context() is DEFAULT_CONTEXT
-
-    def test_explicit_ctx_wins(self):
-        ctx = SolveContext(warm_start=False)
-        assert resolve_context(ctx) is ctx
-
-    def test_custom_default(self):
-        default = SolveContext(warm_start=False)
-        assert resolve_context(None, default=default) is default
-
-    def test_legacy_kwargs_warn_and_override(self):
-        hook = lambda: None  # noqa: E731
-        with pytest.warns(DeprecationWarning, match="warm_start"):
-            ctx = resolve_context(warm_start=False, caller="x")
-        assert ctx.warm_start is False
-        with pytest.warns(DeprecationWarning, match="check_deadline"):
-            ctx = resolve_context(check_deadline=hook, caller="x")
-        assert ctx.check_deadline is hook
-
-
 class TestDeprecationShims:
-    """Acceptance: the legacy kwargs only work via warning shims."""
+    """The legacy ``warm_start=`` / ``check_deadline=`` kwargs are gone:
+    passing one fails, and ctx-only calls and every internal path run
+    without a DeprecationWarning."""
 
-    def test_ptas_warm_start_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"ptas\(warm_start"):
-            result = ptas(INSTANCE, 0.3, warm_start=False)
-        assert result.schedule.makespan >= 1
-
-    def test_ptas_check_deadline_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"ptas\(check_deadline"):
-            ptas(INSTANCE, 0.3, check_deadline=lambda: None)
-
-    def test_parallel_ptas_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match=r"parallel_ptas\(warm_start"):
-            parallel_ptas(INSTANCE, 0.3, 2, backend="numpy-serial", warm_start=False)
-
-    def test_bisect_kwargs_warn(self):
-        with pytest.warns(
-            DeprecationWarning, match=r"bisect_target_makespan\(warm_start"
-        ):
-            bisect_target_makespan(INSTANCE, 4, _standard_solver, warm_start=True)
+    @pytest.mark.parametrize("kwarg", ["warm_start", "check_deadline"])
+    def test_removed_kwargs_are_rejected(self, kwarg):
+        value = False if kwarg == "warm_start" else (lambda: None)
+        with pytest.raises(TypeError, match=kwarg):
+            ptas(INSTANCE, 0.3, **{kwarg: value})
+        with pytest.raises(TypeError, match=kwarg):
+            parallel_ptas(INSTANCE, 0.3, 2, backend="numpy-serial", **{kwarg: value})
+        with pytest.raises(TypeError, match=kwarg):
+            bisect_target_makespan(INSTANCE, 4, _standard_solver, **{kwarg: value})
 
     def test_ctx_only_calls_do_not_warn(self, recwarn):
         ptas(INSTANCE, 0.3, ctx=SolveContext(warm_start=False))
@@ -109,10 +80,6 @@ class TestDeprecationShims:
         )
         bisect_target_makespan(INSTANCE, 4, _standard_solver, ctx=SolveContext())
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]
-
-    def test_shim_message_points_at_the_facade(self):
-        with pytest.warns(DeprecationWarning, match=r"repro\.solve\(\) facade"):
-            ptas(INSTANCE, 0.3, warm_start=False)
 
     def test_no_internal_path_uses_the_shims(self):
         """Deprecation sweep acceptance: every internal caller passes
@@ -144,16 +111,6 @@ class TestDeprecationShims:
 
 
 class TestContextEquivalence:
-    def test_ctx_matches_legacy_warm_start_results(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = ptas(INSTANCE, 0.3, warm_start=False)
-        via_ctx = ptas(INSTANCE, 0.3, ctx=SolveContext(warm_start=False))
-        assert via_ctx.final_target == legacy.final_target
-        assert via_ctx.schedule.makespan == legacy.schedule.makespan
-        assert (
-            via_ctx.outcome.num_iterations == legacy.outcome.num_iterations
-        )
-
     def test_bisect_default_stays_faithful(self):
         """The standalone bisection still defaults to the paper-faithful
         (no warm start) search when no context is given."""
@@ -236,13 +193,3 @@ class TestAdapterCoercion:
         assert spec.solve(INSTANCE, request, None).makespan >= 1
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]
 
-    def test_bare_callable_coerced_with_warning(self):
-        spec = get_engine("ptas")
-        request = SolveRequest(
-            times=INSTANCE.processing_times,
-            machines=INSTANCE.num_machines,
-            engine="ptas",
-        )
-        with pytest.warns(DeprecationWarning, match="bare check_deadline"):
-            schedule = spec.solve(INSTANCE, request, lambda: None)
-        assert schedule.makespan >= 1

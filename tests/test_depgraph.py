@@ -14,7 +14,7 @@ from repro.core.depgraph import (
     topological_levels,
 )
 from repro.core.dp import DPProblem
-from repro.core.parallel_dp import build_level_index
+from repro.core.kernels import build_level_arrays
 
 from conftest import dp_problems
 
@@ -67,13 +67,12 @@ def test_property_generations_equal_level_index(problem: DPProblem):
     graph = build_dependency_graph(problem)
     assert is_valid_wavefront(graph)
     generations = topological_levels(graph)
-    index = build_level_index(problem)
     from repro.core.dp import unrank
 
     strides = problem.strides()
     expected = [
         {unrank(flat, problem.dims, strides) for flat in level}
-        for level in index.levels
+        for level in build_level_arrays(problem.dims)
     ]
     assert generations == expected
     assert critical_path_length(graph) == problem.num_long_jobs + 1

@@ -28,7 +28,7 @@ DOCTEST_MODULES = [
     "repro.exact.branch_and_bound",
     "repro.exact.ilp",
     "repro.workloads.generator",
-    "repro.parallel.partition",
+    "repro.parallel.runs",
     "repro.experiments.reporting",
 ]
 

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.dp import DPProblem, solve_table
+from repro.core.kernels import build_level_arrays
 from repro.core.parallel_dp import (
     BACKENDS,
-    build_level_index,
+    EXECUTOR_BACKENDS,
     parallel_dp,
 )
+from repro.parallel.runs import level_sizes_from_dims
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import SimulatedMachine
 
@@ -26,14 +28,21 @@ FAST_BACKENDS = ("serial", "thread", "simulated")
 
 
 class TestLevelIndex:
+    """The anti-diagonal grouping every backend iterates
+    (:func:`build_level_arrays`) and the widths
+    :func:`level_sizes_from_dims` derives without enumerating states."""
+
     def test_paper_example_levels(self, paper_example_problem):
-        idx = build_level_index(paper_example_problem)
-        assert idx.num_levels == 6  # n' + 1 = 5 + 1
-        assert idx.sizes == (1, 2, 3, 3, 2, 1)
+        levels = build_level_arrays(paper_example_problem.dims)
+        assert len(levels) == 6  # n' + 1 = 5 + 1
+        assert tuple(len(lv) for lv in levels) == (1, 2, 3, 3, 2, 1)
+        assert level_sizes_from_dims(paper_example_problem.dims).tolist() == [
+            1, 2, 3, 3, 2, 1,
+        ]
 
     def test_levels_partition_all_states(self, paper_example_problem):
-        idx = build_level_index(paper_example_problem)
-        seen = sorted(i for level in idx.levels for i in level)
+        levels = build_level_arrays(paper_example_problem.dims)
+        seen = sorted(i for level in levels for i in level)
         assert seen == list(range(paper_example_problem.table_size))
 
     def test_level_members_have_matching_sum(self, paper_example_problem):
@@ -41,24 +50,27 @@ class TestLevelIndex:
 
         p = paper_example_problem
         strides = p.strides()
-        idx = build_level_index(p)
-        for l, level in enumerate(idx.levels):
+        for l, level in enumerate(build_level_arrays(p.dims)):
             for flat in level:
                 assert sum(unrank(flat, p.dims, strides)) == l
 
     def test_one_dimensional_table(self):
         p = DPProblem((5,), (4,), 10)
-        idx = build_level_index(p)
-        assert idx.sizes == (1, 1, 1, 1, 1)
+        assert tuple(len(lv) for lv in build_level_arrays(p.dims)) == (
+            1, 1, 1, 1, 1,
+        )
+        assert level_sizes_from_dims(p.dims).tolist() == [1, 1, 1, 1, 1]
 
     @given(dp_problems())
     @settings(max_examples=30)
     def test_property_level_count(self, problem: DPProblem):
         if not problem.counts:
             return
-        idx = build_level_index(problem)
-        assert idx.num_levels == problem.num_long_jobs + 1
-        assert sum(idx.sizes) == problem.table_size
+        levels = build_level_arrays(problem.dims)
+        sizes = level_sizes_from_dims(problem.dims).tolist()
+        assert len(levels) == problem.num_long_jobs + 1
+        assert [len(lv) for lv in levels] == sizes
+        assert sum(sizes) == problem.table_size
 
 
 class TestBackendsAgree:
@@ -176,6 +188,16 @@ class TestStats:
         assert res.stats.level_sizes == (1, 2, 3, 3, 2, 1)
         assert res.stats.num_configs == 7
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stats_match_table_engine(self, paper_example_problem, backend):
+        """Every backend reads its table out like the ``table`` engine:
+        the origin is never scanned, so ``config_scans`` is
+        ``(sigma - 1) * |C|`` = 11 * 7, not ``sigma * |C|``."""
+        res = parallel_dp(paper_example_problem, 2, backend, collect_stats=True)
+        ref = solve_table(paper_example_problem, collect_stats=True)
+        assert res.stats == ref.stats
+        assert res.stats.config_scans == 77
+
 
 class TestTiledSchedule:
     """The batched (runs) schedule: bit-identical tables, one barrier per
@@ -188,9 +210,8 @@ class TestTiledSchedule:
         from repro.core.kernels import LevelKernel
         from repro.parallel.runs import KernelCostModel, plan_tiles
 
-        index = build_level_index(problem)
         return plan_tiles(
-            index.sizes,
+            level_sizes_from_dims(problem.dims),
             problem.table_size,
             blocks,
             num_configs=LevelKernel.for_problem(problem).num_configs,
@@ -289,6 +310,25 @@ class TestTiledSchedule:
 
         with pytest.raises(ValueError, match="schedule"):
             compute_table(self.wide_problem(), 2, "serial", schedule="zigzag")
+
+    def test_levels_schedule_is_simulated_only(self):
+        """The executor backends run tiles only: Alg. 3's per-level
+        fan-out is the simulated backend's model, where both schedules
+        fill the same table, and asking a real backend for it fails
+        before any worker starts."""
+        from repro.core.parallel_dp import compute_table
+
+        problem = self.wide_problem()
+        for backend in EXECUTOR_BACKENDS:
+            with pytest.raises(ValueError, match="simulated backend"):
+                compute_table(problem, 2, backend, schedule="levels")
+            with pytest.raises(ValueError, match="simulated backend"):
+                parallel_dp(problem, 2, backend, schedule="levels")
+        levels = compute_table(problem, 3, "simulated", schedule="levels")
+        runs = compute_table(problem, 3, "simulated", schedule="runs")
+        assert levels.dtype == runs.dtype
+        assert (levels == runs).all()
+        assert (levels == compute_table(problem, 1, "numpy-serial")).all()
 
     def test_simulated_runs_speedup_monotone(self):
         from repro.core.parallel_dp import compute_table

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.dp import DPProblem
 from repro.experiments.tables import (
     RATIO_POOL,
     RatioRecord,
     TABLE1_PROBLEM,
     TableResult,
     _select,
-    level_histogram,
     run_table1,
 )
 
@@ -83,20 +80,3 @@ class TestSelection:
         assert "lpt_adversarial" in kinds
         assert "u_narrow" in kinds
 
-
-class TestLevelHistogram:
-    def test_matches_stats(self):
-        p = DPProblem((3, 5), (2, 4), 20)
-        from repro.core.dp import solve_table
-
-        stats = solve_table(p, collect_stats=True, track_schedule=False).stats
-        assert stats is not None
-        np.testing.assert_array_equal(
-            level_histogram(p), np.array(stats.level_sizes)
-        )
-
-    def test_symmetry(self):
-        """q_l is symmetric around the middle anti-diagonal."""
-        p = DPProblem((3, 5, 7), (2, 3, 2), 30)
-        hist = level_histogram(p)
-        np.testing.assert_array_equal(hist, hist[::-1])
