@@ -1,9 +1,9 @@
 """Ablation benchmark: DP engine comparison (DESIGN.md §7).
 
-Quantifies why the optimized ``dominance`` engine is the default for the
-public API while the faithful ``table`` sweep is used for fidelity: on
-the paper's own instance families the dominance engine does an order of
-magnitude fewer configuration scans.
+Quantifies what the ``dominance`` engine's Pareto pruning saves over the
+faithful ``table`` sweep: on the paper's own instance families it does
+an order of magnitude fewer configuration scans.  (It serves no
+answers: its trimmed cover is a different witness than the table's.)
 """
 
 from __future__ import annotations

@@ -46,9 +46,8 @@ def solve(
     *,
     eps: float = 0.3,
     ctx: "SolveContext | None" = None,
-    dp_engine: str = "dominance",
-    workers: int | str = 4,
-    backend: str = "thread",
+    workers: int | str = 1,
+    backend: str = "numpy-serial",
     mode: str = "wavefront",
     time_limit: float | None = None,
     request_id: str = "",
@@ -71,7 +70,7 @@ def solve(
     ctx:
         Optional :class:`~repro.core.context.SolveContext` carrying
         deadline hook, warm-start policy, tracer, metrics, executor.
-    dp_engine / workers / backend / mode / time_limit:
+    workers / backend / mode / time_limit:
         Engine tuning knobs, identical to their
         :class:`~repro.service.SolveRequest` fields.
     request_id:
@@ -108,7 +107,6 @@ def solve(
         speeds=speeds,
         engine=engine,
         eps=eps,
-        dp_engine=dp_engine,
         workers=workers,
         backend=backend,
         mode=mode,

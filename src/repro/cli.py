@@ -43,7 +43,6 @@ import sys
 import time
 from typing import Sequence
 
-from repro.core.dp import SEQUENTIAL_ENGINES
 from repro.core.ptas import MODES
 from repro.model.instance import Instance
 from repro.model.problem import P_CMAX, Q_CMAX, available_problems, canonical_problem_name
@@ -191,30 +190,12 @@ def _solve_request_from_args(
         speeds=inst.speeds if is_q else (),
         engine=args.algorithm,
         eps=args.eps,
-        dp_engine=args.engine,
         workers=args.workers,
         backend=args.backend,
         mode=getattr(args, "mode", "wavefront"),
         time_limit=args.time_limit,
         deadline=getattr(args, "deadline", None),
     )
-
-
-def _sniff_engine_flag(args: argparse.Namespace) -> None:
-    """Accept ``--engine lpt`` as a registry engine name.
-
-    ``--engine`` historically selects the sequential *DP* engine of the
-    PTAS bisection, but ``--engine lpt`` reads naturally as "solve with
-    LPT".  The two name sets are disjoint, so when the value matches a
-    registry engine (and no explicit ``-a`` contradicts it) we treat it
-    as the algorithm and fall back to the default DP engine.
-    """
-    name = args.engine.replace("-", "_").strip().lower()
-    if name in SEQUENTIAL_ENGINES:
-        return
-    if name in ALGORITHMS:
-        args.algorithm = name
-        args.engine = "dominance"
 
 
 def _build_trace_context(args: argparse.Namespace, request: SolveRequest):
@@ -248,16 +229,6 @@ def _finish_trace(tracer, path: str) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    _sniff_engine_flag(args)
-    # Validate the DP engine eagerly so a typo exits cleanly regardless
-    # of which algorithm would (or would not) consume it.
-    if args.engine not in SEQUENTIAL_ENGINES:
-        print(
-            f"error: unknown DP engine {args.engine!r}; available: "
-            f"{', '.join(sorted(SEQUENTIAL_ENGINES))}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         inst = _instance_from_args(args)
         request = _solve_request_from_args(args, inst)
@@ -575,7 +546,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.service.server import send_op, submit
 
-    _sniff_engine_flag(args)
     if args.op:
         reply = asyncio.run(send_op(args.host, args.port, args.op))
         print(_json.dumps(reply, indent=2, sort_keys=True))
@@ -781,19 +751,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "-a",
         "--algorithm",
+        "--engine",
+        dest="algorithm",
         default="parallel-ptas",
         help=f"engine name (one of: {', '.join(ALGORITHMS)}; "
         "dashes and underscores are interchangeable)",
     )
     solve.add_argument("--eps", type=float, default=0.3)
-    solve.add_argument(
-        "--engine",
-        "--dp-engine",
-        dest="engine",
-        default="dominance",
-        help="sequential DP engine for the PTAS bisection (one of: "
-        f"{', '.join(sorted(SEQUENTIAL_ENGINES))})",
-    )
     solve.add_argument(
         "--workers",
         type=_workers_arg,
@@ -801,7 +765,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for parallel engines, or 'auto' (default) for "
         "cgroup-aware CPU detection",
     )
-    solve.add_argument("--backend", default="serial")
+    solve.add_argument(
+        "--backend",
+        default="numpy-serial",
+        help="parallel-ptas wavefront backend (default numpy-serial; "
+        "every backend fills the same table)",
+    )
     solve.add_argument(
         "--mode",
         choices=MODES,
@@ -938,17 +907,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub_cmd.add_argument("--host", default="127.0.0.1")
     sub_cmd.add_argument("--port", type=int, default=8357)
     sub_cmd.add_argument(
-        "-a", "--algorithm", default="ptas", help="engine name (see 'solve')"
+        "-a",
+        "--algorithm",
+        "--engine",
+        dest="algorithm",
+        default="ptas",
+        help="engine name (see 'solve')",
     )
     sub_cmd.add_argument("--eps", type=float, default=0.3)
-    sub_cmd.add_argument("--engine", default="dominance")
     sub_cmd.add_argument(
         "--workers",
         type=_workers_arg,
         default="auto",
         help="worker count or 'auto' (resolved server-side)",
     )
-    sub_cmd.add_argument("--backend", default="thread")
+    sub_cmd.add_argument("--backend", default="numpy-serial")
     sub_cmd.add_argument(
         "--mode",
         choices=MODES,
@@ -1040,8 +1013,8 @@ def build_parser() -> argparse.ArgumentParser:
     qa_fuzz = qa_subs.add_parser(
         "fuzz",
         help="draw seeded instances, run every capable engine, check the "
-        "cross-engine / metamorphic / service oracles, and write "
-        "minimized repro files for any failure",
+        "cross-engine / metamorphic / fidelity / service oracles, and "
+        "write minimized repro files for any failure",
     )
     qa_fuzz.add_argument("--seed", type=int, default=0)
     qa_fuzz.add_argument(
@@ -1097,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     qa_replay.add_argument(
         "--all-oracles",
         action="store_true",
-        help="re-run all three oracle classes, not just the recorded one",
+        help="re-run all four oracle classes, not just the recorded one",
     )
     qa_replay.set_defaults(fn=_cmd_qa_replay)
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
-from repro.core.dp import DPProblem, DPResult, DPStats, _enumerate_traced
+from repro.core.dp import DPProblem, DPResult, _enumerate_traced, _stats
 
 
 def solve_config_ilp(
@@ -46,18 +46,7 @@ def solve_config_ilp(
     """
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     if not problem.counts or not any(problem.counts):
-        stats = (
-            DPStats(
-                sigma=problem.table_size,
-                num_levels=1,
-                level_sizes=(1,),
-                num_configs=0,
-                states_computed=0,
-                config_scans=0,
-            )
-            if collect_stats
-            else None
-        )
+        stats = _stats(problem, 0, 0, 0) if collect_stats else None
         return DPResult(opt=0, engine="config-ilp", stats=stats)
 
     configs = _enumerate_traced(problem, ctx)
@@ -92,16 +81,9 @@ def solve_config_ilp(
         )
     counts = np.rint(result.x).astype(int)
     opt = int(counts.sum())
-    stats = None
-    if collect_stats:
-        stats = DPStats(
-            sigma=problem.table_size,
-            num_levels=problem.num_long_jobs + 1,
-            level_sizes=(),
-            num_configs=num_vars,
-            states_computed=0,
-            config_scans=0,
-        )
+    # No table is filled: the IP scans no state, but the stats describe
+    # the same table (its anti-diagonal widths) as every other engine's.
+    stats = _stats(problem, num_vars, 0, 0) if collect_stats else None
     if limit is not None and opt > limit:
         return DPResult(opt=None, engine="config-ilp", stats=stats)
     machine_configs: tuple[tuple[int, ...], ...] = ()

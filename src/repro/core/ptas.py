@@ -110,7 +110,7 @@ def ptas(
     instance: Instance,
     eps: float,
     *,
-    engine: str = "dominance",
+    engine: str = "numpy",
     collect_stats: bool = False,
     guarantee_fix: bool = True,
     ctx: SolveContext | None = None,
@@ -127,7 +127,10 @@ def ptas(
     engine:
         Sequential DP engine (see :data:`repro.core.dp.SEQUENTIAL_ENGINES`).
         ``"table"`` is the faithful full-table sweep; the default
-        ``"dominance"`` is the optimized equivalent engine.
+        ``"numpy"`` fills the same table with the wavefront kernel, so
+        it returns the same target and schedule, faster.  The other
+        engines certify the same target but may reconstruct a different
+        schedule.
     guarantee_fix:
         Cap machine configurations at ``k - 1`` long jobs (default).  The
         algorithm *as printed* can exceed ``(1 + eps) OPT`` on integral

@@ -65,9 +65,8 @@ class LiveSchedule:
         Number of identical machines ``m``.
     eps:
         PTAS relative error of the re-solve engine.
-    engine / dp_engine:
-        Registry engine for re-solves (``ptas`` by default) and its
-        sequential DP engine.
+    engine:
+        Registry engine for re-solves (``ptas`` by default).
     drift_threshold:
         Re-solve when the tracked ratio exceeds this.  ``None`` (the
         default) means :func:`~repro.algorithms.lpt.dcs_lpt_bound`; the
@@ -91,7 +90,6 @@ class LiveSchedule:
         *,
         eps: float = 0.2,
         engine: str = "ptas",
-        dp_engine: str = "dominance",
         drift_threshold: float | None = None,
         cache: ResultCache | None = None,
         metrics: Any = None,
@@ -109,7 +107,6 @@ class LiveSchedule:
         self.machines = machines
         self.eps = eps
         self.engine = engine
-        self.dp_engine = dp_engine
         self.drift_threshold = drift_threshold
         self.cache = cache
         self.metrics = metrics
@@ -276,7 +273,6 @@ class LiveSchedule:
             machines=self.machines,
             engine=self.engine,
             eps=self.eps,
-            dp_engine=self.dp_engine,
             request_id=f"{self.tenant}-resolve-{self.resolves + 1}",
         )
         result = self.cache.get(request) if self.cache is not None else None
@@ -338,7 +334,6 @@ class LiveSchedule:
             "machines": self.machines,
             "eps": self.eps,
             "engine": self.engine,
-            "dp_engine": self.dp_engine,
             "drift_threshold": self.drift_threshold,
             "jobs": dict(self._times),
             "assignment": dict(self._machine_of),
@@ -365,6 +360,9 @@ class LiveSchedule:
 
         The certified lower bound survives the round trip — state is
         restored exactly as persisted, so the bound's proof still holds.
+        Snapshots written by release 1.0.0 also carry a ``dp_engine``
+        field; it is ignored (``ptas`` re-solves always run the
+        wavefront kernel now).
         """
         version = snapshot.get("version")
         if version != SNAPSHOT_VERSION:
@@ -377,7 +375,6 @@ class LiveSchedule:
             int(snapshot["machines"]),
             eps=float(snapshot["eps"]),
             engine=str(snapshot.get("engine", "ptas")),
-            dp_engine=str(snapshot.get("dp_engine", "dominance")),
             drift_threshold=None if threshold is None else float(threshold),
             cache=cache,
             metrics=metrics,

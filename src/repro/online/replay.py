@@ -176,7 +176,6 @@ def run_replay(
     eps: float = 0.2,
     mode: str = "incremental",
     engine: str = "ptas",
-    dp_engine: str = "dominance",
     drift_threshold: float | None = None,
     cache: Any = None,
     metrics: Any = None,
@@ -197,7 +196,6 @@ def run_replay(
         machines,
         eps=eps,
         engine=engine,
-        dp_engine=dp_engine,
         drift_threshold=math.inf if mode == "scratch" else drift_threshold,
         cache=cache,
         metrics=metrics,

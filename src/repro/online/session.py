@@ -164,7 +164,6 @@ class SessionManager:
                 request.machines,
                 eps=request.eps,
                 engine=request.engine,
-                dp_engine=request.dp_engine,
                 drift_threshold=request.drift_threshold,
                 cache=self.cache,
                 metrics=self.metrics,

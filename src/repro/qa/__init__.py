@@ -4,9 +4,10 @@ The :mod:`repro.qa` package turns the repo's redundancy — four exact
 solvers, five approximation engines, two problem variants, two solve
 paths — into an automated oracle.  A seeded fuzzer
 (:mod:`repro.qa.fuzzer`) draws instances from the paper's workload
-families and checks three relation classes (:mod:`repro.qa.oracles`):
-cross-engine agreement, metamorphic invariants, and wire/in-process
-service equivalence.  Failures are ddmin-minimized
+families and checks four relation classes (:mod:`repro.qa.oracles`):
+cross-engine agreement, metamorphic invariants, wire/in-process service
+equivalence, and the fidelity of every served PTAS answer to the
+paper's table witness.  Failures are ddmin-minimized
 (:mod:`repro.qa.reduce`) and written as replayable JSON repro files
 (:mod:`repro.qa.corpus`).
 

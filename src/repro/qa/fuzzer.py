@@ -3,7 +3,7 @@
 :func:`run_fuzz` draws instances from the paper's workload families
 (:mod:`repro.workloads.families`) — both ``p_cmax`` and ``q_cmax`` —
 runs every registered engine whose declared capabilities match, and
-applies the three oracle classes of :mod:`repro.qa.oracles`.  Every
+applies the four oracle classes of :mod:`repro.qa.oracles`.  Every
 failure is minimized with :func:`repro.qa.reduce.shrink_case` and
 persisted as a replayable repro file (:mod:`repro.qa.corpus`).
 
@@ -33,6 +33,7 @@ from repro.qa.corpus import ReproCase, write_repro
 from repro.qa.oracles import (
     Violation,
     cross_engine_violations,
+    fidelity_violations,
     metamorphic_violations,
     run_engines,
     service_equivalence_violations,
@@ -51,7 +52,7 @@ from repro.workloads.families import FAMILIES, SPEED_FAMILIES
 HEAVY_ENGINES = frozenset({"ilp"})
 
 #: Oracle-class names in reporting order.
-ORACLES = ("cross_engine", "metamorphic", "service")
+ORACLES = ("cross_engine", "metamorphic", "fidelity", "service")
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,8 @@ def _case_violations(
         return metamorphic_violations(
             _metamorphic_engines(engines), instance, case.eps, rng=rng
         )
+    if oracle == "fidelity":
+        return fidelity_violations(engines, instance, case.eps)
     if oracle == "service":
         violations: list[Violation] = []
         for name, _spec in engines:
@@ -333,6 +336,11 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                 )
                 continue
 
+        violations = fidelity_violations(engines, instance, case.eps)
+        if violations:
+            _record_failure(report, config, case, "fidelity", index, violations)
+            continue
+
         if config.service and index % config.service_every == 0:
             engine = _service_engine(
                 engines, config, _case_rng(config.seed, index)
@@ -356,7 +364,7 @@ def replay_case(
 ) -> list[Violation]:
     """Re-run the oracles on a recorded case; empty list = the failure
     no longer reproduces.  *oracle* restricts to one class (the one the
-    repro file names); ``None`` runs all three."""
+    repro file names); ``None`` runs all four."""
     if config is None:
         config = FuzzConfig(
             corpus_dir="qa-corpus",

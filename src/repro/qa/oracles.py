@@ -1,4 +1,4 @@
-"""The three oracle classes of the differential fuzzing harness.
+"""The four oracle classes of the differential fuzzing harness.
 
 Hand-written tests encode *expected outputs*; these oracles encode
 *relations that must hold between outputs*, so they keep working on
@@ -20,6 +20,9 @@ instances nobody anticipated:
    — a solve through the JSON-lines wire protocol byte-matches the
    in-process facade result once both are reduced to the canonical
    fingerprint of :func:`repro.service.cache.canonicalize_result`.
+4. **Paper fidelity** (:func:`fidelity_violations`) — every served PTAS
+   answer is the paper's own table witness: the same final target and
+   assignment as ``ptas(instance, eps, engine="table")``.
 
 Each function returns a list of :class:`Violation` records (empty =
 clean) rather than raising, so the fuzzer can collect, minimize, and
@@ -53,6 +56,10 @@ ORDER_SENSITIVE = frozenset({"ls", "ptas", "parallel_ptas"})
 #: uniform integer scaling of the processing times (greedy placement is
 #: scale-equivariant; the PTAS/MULTIFIT rounding boundaries are not).
 SCALE_EQUIVARIANT_APPROX = frozenset({"lpt", "ls"})
+
+#: The registry engines that serve PTAS answers, each held by the
+#: fidelity oracle to the witness of the paper's full-table DP.
+SERVED_PTAS_ENGINES = frozenset({"ptas", "parallel_ptas"})
 
 #: Relative slack for float comparisons (``q_cmax`` makespans surface
 #: exact Fractions as floats; products of floats can wobble one ulp).
@@ -534,3 +541,66 @@ def service_equivalence_violations(
             )
         ]
     return []
+
+
+def fidelity_violations(
+    engines: Sequence[tuple[str, EngineSpec]],
+    instance: Instance | QInstance,
+    eps: float,
+) -> list[Violation]:
+    """Oracle class 4: every served PTAS answer is the table witness.
+
+    On a ``p_cmax`` instance, each :data:`SERVED_PTAS_ENGINES` member of
+    *engines* solves through its registry adapter under a tracer (the
+    ``solve`` span reports the certified target) and must return the
+    final target and the assignment of ``ptas(instance, eps,
+    engine="table")`` — Alg. 2's full-table sweep, which the golden
+    suite pins.  The cache, store and shard keys ignore how an answer
+    was computed, so a served path with another DP witness would make
+    the answer depend on which permuted twin was solved first.
+    """
+    served = [(name, spec) for name, spec in engines if name in SERVED_PTAS_ENGINES]
+    if not served or isinstance(instance, QInstance):
+        return []
+    from repro.core.context import SolveContext
+    from repro.core.ptas import ptas
+    from repro.obs.trace import Tracer
+
+    reference = ptas(instance, eps, engine="table")
+    violations: list[Violation] = []
+    for name, spec in served:
+        tracer = Tracer()
+        try:
+            schedule = spec.solve(
+                instance,
+                build_request(instance, name, eps),
+                SolveContext(tracer=tracer),
+            )
+        except Exception as exc:  # noqa: BLE001 - capture, don't crash the fuzzer
+            violations.append(
+                Violation(
+                    "fidelity", "error", name,
+                    f"engine raised: {type(exc).__name__}: {exc}",
+                )
+            )
+            continue
+        target = tracer.find("solve")[0].attrs.get("final_target")
+        if target != reference.final_target:
+            violations.append(
+                Violation(
+                    "fidelity", "final_target", name,
+                    f"certified target {target} != the table engine's "
+                    f"{reference.final_target}",
+                )
+            )
+        elif schedule.assignment != reference.schedule.assignment:
+            violations.append(
+                Violation(
+                    "fidelity", "assignment", name,
+                    f"assignment {schedule.assignment} (makespan "
+                    f"{schedule.makespan}) != the table engine's "
+                    f"{reference.schedule.assignment} (makespan "
+                    f"{reference.makespan})",
+                )
+            )
+    return violations

@@ -89,9 +89,11 @@ def canonical_key(request: SolveRequest) -> CacheKey:
     Two requests share a key iff they describe the same problem variant,
     multiset of times (and of speeds, for ``q_cmax``), machine count,
     engine and ``eps`` — everything that can change the returned
-    schedule's loads.  Tuning knobs (workers, backend, dp_engine)
-    deliberately do not participate: they change how fast the answer is
-    computed, never what a valid answer is.
+    schedule's loads.  Tuning knobs (workers, backend) deliberately do
+    not participate: every wavefront backend fills the same table, so
+    they change how fast the answer is computed, never the answer.
+    (``mode`` does not participate either, though a speculative
+    bisection may certify a different target than the wavefront one.)
     """
     problem, speeds = canonical_problem_key(request)
     return (

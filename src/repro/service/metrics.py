@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 
 class Counter:
@@ -130,20 +130,31 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
+    def _instrument(self, table: dict, name: str, make: Callable[[], Any]) -> Any:
+        """*table*'s instrument named *name*, made by *make* on first use.
+
+        A hit is one dict read; only a miss takes the lock, re-checks and
+        builds the instrument, so racing first lookups share one.
+        """
+        instrument = table.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = table.get(name)
+                if instrument is None:
+                    instrument = table[name] = make()
+        return instrument
+
     def counter(self, name: str) -> Counter:
         """The counter named *name*, created on first use."""
-        with self._lock:
-            return self._counters.setdefault(name, Counter())
+        return self._instrument(self._counters, name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """The gauge named *name*, created on first use."""
-        with self._lock:
-            return self._gauges.setdefault(name, Gauge())
+        return self._instrument(self._gauges, name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         """The histogram named *name*, created on first use."""
-        with self._lock:
-            return self._histograms.setdefault(name, Histogram())
+        return self._instrument(self._histograms, name, Histogram)
 
     def set_many(self, prefix: str, values: dict[str, float]) -> None:
         """Mirror a dict of values as ``prefix.key`` gauges (used for the

@@ -49,9 +49,8 @@ from repro.algorithms.related import (
     q_lpt_worst_case_ratio,
 )
 from repro.core.context import SolveContext
-from repro.core.dp import SEQUENTIAL_ENGINES
 from repro.core.parallel_dp import BACKENDS
-from repro.core.ptas import MODES, parallel_ptas, ptas
+from repro.core.ptas import MODES, parallel_ptas
 from repro.model.instance import Instance
 from repro.model.problem import P_CMAX, Q_CMAX, canonical_problem_name
 from repro.model.qinstance import QInstance, QSchedule
@@ -147,16 +146,12 @@ def _solve_ptas(
     request: "SolveRequest",
     ctx: "SolveContext | None",
 ) -> Schedule:
-    if request.dp_engine not in SEQUENTIAL_ENGINES:
-        raise UnknownEngineError(
-            f"unknown DP engine {request.dp_engine!r}; available: "
-            f"{sorted(SEQUENTIAL_ENGINES)}"
-        )
-    return ptas(
-        instance,
-        request.eps,
-        engine=request.dp_engine,
-        ctx=ctx,
+    # The wavefront kernel on one thread, with probe reuse: the fastest
+    # path to the paper's table witness, ``ptas(engine="table")``'s
+    # schedule.  Serving one witness keeps answers a function of the
+    # cache key.
+    return parallel_ptas(
+        instance, request.eps, 1, backend="numpy-serial", ctx=ctx
     ).schedule
 
 
@@ -244,7 +239,8 @@ def _register(spec: EngineSpec) -> None:
 _register(
     EngineSpec(
         name="ptas",
-        description="sequential Hochbaum–Shmoys PTAS (Algorithm 1)",
+        description="Hochbaum–Shmoys PTAS (Algorithm 1) on one thread of "
+        "the wavefront kernel",
         guarantee=_ptas_guarantee,
         solve=_solve_ptas,
         supports_deadline=True,

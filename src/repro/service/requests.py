@@ -108,16 +108,16 @@ class SolveRequest:
         admission.  ``None`` means unbounded.  When a deadline-capable
         engine overruns, the service returns the LPT schedule tagged
         ``degraded=True`` instead of timing out the client.
-    dp_engine:
-        Sequential DP engine for ``ptas`` (see
-        :data:`repro.core.dp.SEQUENTIAL_ENGINES`).
     workers / backend / mode:
         Worker count, wavefront backend, and bisection mode for
-        ``parallel_ptas``.  ``workers`` may be the string ``"auto"`` —
-        resolved server-side to the CPUs the process can actually use
-        (:func:`repro.parallel.cpus.resolve_workers`).  ``mode`` is one
-        of :data:`repro.core.ptas.MODES` (``wavefront`` / ``speculative``
-        / ``auto``).
+        ``parallel_ptas`` (default: one ``numpy-serial`` worker, the
+        engine ``ptas`` always runs).  ``workers`` may be the string
+        ``"auto"`` — resolved server-side to the CPUs the process can
+        actually use (:func:`repro.parallel.cpus.resolve_workers`).
+        ``mode`` is one of :data:`repro.core.ptas.MODES` (``wavefront`` /
+        ``speculative`` / ``auto``).  In ``wavefront`` mode every
+        backend fills the same table, so ``workers`` and ``backend``
+        change how fast, never what, a PTAS engine answers.
     time_limit:
         Budget forwarded to the exact ``ilp`` solver.
     request_id:
@@ -132,9 +132,8 @@ class SolveRequest:
     engine: str = "ptas"
     eps: float = 0.3
     deadline: float | None = None
-    dp_engine: str = "dominance"
-    workers: int | str = 4
-    backend: str = "thread"
+    workers: int | str = 1
+    backend: str = "numpy-serial"
     mode: str = "wavefront"
     time_limit: float | None = None
     request_id: str = ""
@@ -337,11 +336,10 @@ class StreamRequest:
 
     ``jobs`` carries ``(job_id, processing_time)`` pairs for
     ``add_jobs``; ``job_ids`` names the departures for ``remove_jobs``.
-    ``machines`` / ``eps`` / ``engine`` / ``dp_engine`` /
-    ``drift_threshold`` are session parameters, read at
-    ``open_session`` and ignored afterwards (``drift_threshold=None``
-    means the Della Croce–Scatamacchia LPT bound,
-    :func:`repro.algorithms.lpt.dcs_lpt_bound`).
+    ``machines`` / ``eps`` / ``engine`` / ``drift_threshold`` are
+    session parameters, read at ``open_session`` and ignored afterwards
+    (``drift_threshold=None`` means the Della Croce–Scatamacchia LPT
+    bound, :func:`repro.algorithms.lpt.dcs_lpt_bound`).
 
     ``problem`` follows the versioned-envelope rules of
     :class:`SolveRequest` (absent ``protocol`` = v1 = ``p_cmax``).
@@ -357,7 +355,6 @@ class StreamRequest:
     protocol: int = PROTOCOL_VERSION
     eps: float = 0.2
     engine: str = "ptas"
-    dp_engine: str = "dominance"
     drift_threshold: float | None = None
     jobs: tuple[tuple[str, int], ...] = ()
     job_ids: tuple[str, ...] = ()

@@ -122,9 +122,13 @@ class WriteAheadJournal:
             kind = record.get("kind")
             entry_id = str(record.get("id", ""))
             if kind == "begin":
-                self._open_entries[entry_id] = SolveRequest.from_dict(
-                    record["request"]
-                )
+                request = dict(record["request"])
+                # Release 1.0.0 journaled every request with a
+                # ``dp_engine`` field, which the strict parser now
+                # rejects; drop it so a crash journal of that release
+                # still replays (re-solved with the kernel).
+                request.pop("dp_engine", None)
+                self._open_entries[entry_id] = SolveRequest.from_dict(request)
             elif kind in ("commit", "abort"):
                 self._open_entries.pop(entry_id, None)
             seq = entry_id.split("-", 1)[0]

@@ -301,69 +301,32 @@ class TestUnknownEngine:
         assert "error:" in err and "nosuch" in err
         assert "ptas" in err  # the message lists the valid names
 
-    def test_solve_unknown_dp_engine_exits_nonzero(self, capsys):
-        assert (
-            main(
-                [
-                    "solve",
-                    "--times",
-                    "5,4,3",
-                    "-m",
-                    "2",
-                    "-a",
-                    "ptas",
-                    "--engine",
-                    "bogus",
-                ]
-            )
-            == 2
-        )
+    def test_engine_flag_unknown_name_exits_nonzero(self, capsys):
+        assert main(["solve", "--times", "5,4,3", "-m", "2", "--engine", "bogus"]) == 2
         err = capsys.readouterr().err
         assert "bogus" in err
-        # The message lists every valid sequential engine name.
-        from repro.core.dp import SEQUENTIAL_ENGINES
+        # The message lists every registry engine name.
+        from repro.service.registry import available_engines
 
-        for name in SEQUENTIAL_ENGINES:
+        for name in available_engines():
             assert name in err
 
-    def test_unknown_dp_engine_alias_exits_nonzero(self, capsys):
-        assert (
-            main(
-                [
-                    "solve",
-                    "--times",
-                    "5,4,3",
-                    "-m",
-                    "2",
-                    "-a",
-                    "ptas",
-                    "--dp-engine",
-                    "bogus",
-                ]
-            )
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "bogus" in err and "dominance" in err
+    def test_dp_engine_flag_is_rejected(self, capsys):
+        # The flag selected the PTAS's DP engine; every PTAS answer now
+        # comes from the wavefront kernel, so argparse refuses it.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--times", "5,4,3", "-m", "2", "--dp-engine", "table"])
+        assert exc.value.code == 2
+        assert "--dp-engine" in capsys.readouterr().err
 
-    def test_valid_dp_engine_alias_accepted(self, capsys):
+    @pytest.mark.parametrize("name", ["lpt", "ptas"])
+    def test_engine_flag_is_algorithm_alias(self, capsys, name):
         assert (
-            main(
-                [
-                    "solve",
-                    "--times",
-                    "5,4,3,3,3",
-                    "-m",
-                    "2",
-                    "-a",
-                    "ptas",
-                    "--dp-engine",
-                    "table",
-                ]
-            )
+            main(["solve", "--times", "5,4,3,3,3", "-m", "2", "--engine", name])
             == 0
         )
-        assert "makespan" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"algorithm: {name}" in out and "verified : ok" in out
 
     def test_dash_alias_accepted(self, capsys):
         assert (

@@ -176,6 +176,15 @@ class TestStats:
         assert sum(res.stats.level_sizes) == p.table_size
         assert res.stats.num_levels == p.num_long_jobs + 1
 
+    @pytest.mark.parametrize("engine", sorted(SEQUENTIAL_ENGINES))
+    def test_every_engine_reports_the_table_levels(self, engine):
+        p = DPProblem((2, 3, 5), (2, 1, 2), 20)
+        table = solve_table(p, collect_stats=True, track_schedule=False).stats
+        stats = solve(p, engine, collect_stats=True, track_schedule=False).stats
+        assert stats is not None and table is not None
+        assert stats.num_levels == len(stats.level_sizes)
+        assert stats.level_sizes == table.level_sizes
+
 
 @given(dp_problems())
 @settings(max_examples=60)

@@ -176,6 +176,20 @@ class TestSnapshotRestore:
         restored.add_jobs([("new", 6)])
         assert verify_schedule(restored.schedule()).ok
 
+    def test_restore_ignores_a_legacy_dp_engine_field(self):
+        # Release 1.0.0 snapshots carried the DP engine of re-solves;
+        # re-solves now always run the kernel, so the field is ignored.
+        live = LiveSchedule("t", 3, eps=0.2)
+        live.add_jobs([(f"j{i}", 2 + (i * 7) % 13) for i in range(9)])
+        live.resolve()
+        snap = live.snapshot()
+        assert "dp_engine" not in snap
+        restored = LiveSchedule.restore({**snap, "dp_engine": "dominance"})
+        assert restored.snapshot() == snap
+        restored.add_jobs([("new", 6)])
+        restored.resolve()
+        assert verify_schedule(restored.schedule()).ok
+
     def test_restore_rejects_bad_snapshots(self):
         live = LiveSchedule("t", 2)
         live.add_jobs([("a", 3)])

@@ -10,6 +10,7 @@ engines, and the CLI round trip.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -33,6 +34,7 @@ from repro.qa import (
     shrink_case,
     write_repro,
 )
+from repro.qa.oracles import fidelity_violations
 from repro.service.registry import EngineSpec, available_engines, get_engine
 
 import numpy as np
@@ -96,6 +98,20 @@ BUGGY_SPEC = EngineSpec(
     guarantee=lambda req: 1.0,
     solve=_buggy_bnb_solve,
     exact=True,
+)
+
+
+def _dominance_ptas_solve(instance, request, ctx):
+    """The ``ptas`` adapter as it was before the kernel served it: the
+    dominance DP, which certifies the same target but reconstructs its
+    own witness."""
+    from repro.core.ptas import ptas
+
+    return ptas(instance, request.eps, engine="dominance", ctx=ctx).schedule
+
+
+DOMINANCE_PTAS_SPEC = dataclasses.replace(
+    get_engine("ptas"), solve=_dominance_ptas_solve
 )
 
 
@@ -219,6 +235,28 @@ class TestOracles:
         inst = Instance([9, 8, 7, 6, 5], 2)
         assert service_equivalence_violations(inst, "lpt", 0.3) == []
 
+    @pytest.mark.parametrize(
+        "times, machines",
+        [((7, 7, 6, 6, 5, 4, 4, 3), 3), ((9, 8, 7, 6, 5, 5, 4, 3, 2, 1), 3)],
+    )
+    def test_fidelity_clean_on_registry(self, times, machines):
+        inst = Instance(times, machines)
+        assert fidelity_violations(_registry_engines("p_cmax"), inst, 0.3) == []
+
+    def test_fidelity_catches_the_dominance_witness(self):
+        # Same certified target, another witness: makespan 14 where the
+        # table engine reconstructs 15.
+        inst = Instance([7, 7, 6, 6, 5, 4, 4, 3], 3)
+        violations = fidelity_violations([("ptas", DOMINANCE_PTAS_SPEC)], inst, 0.3)
+        assert [(v.oracle, v.check, v.engine) for v in violations] == [
+            ("fidelity", "assignment", "ptas")
+        ]
+
+    def test_fidelity_skips_q_cmax(self):
+        inst = QInstance([9, 8, 7, 6, 5], (2, 1, 1))
+        engines = [("ptas", DOMINANCE_PTAS_SPEC)]
+        assert fidelity_violations(engines, inst, 0.3) == []
+
 
 class TestFuzzer:
     def test_draw_case_is_deterministic(self):
@@ -263,6 +301,22 @@ class TestFuzzer:
             assert any(
                 "buggy_bnb" in line for line in record["violations"]
             )
+
+    def test_fuzzer_catches_a_dominance_served_ptas(self, tmp_path, monkeypatch):
+        from repro.service import registry
+
+        monkeypatch.setitem(registry._REGISTRY, "ptas", DOMINANCE_PTAS_SPEC)
+        config = FuzzConfig(
+            seed=0,
+            budget=40,
+            problem="p_cmax",
+            corpus_dir=tmp_path,
+            service=False,
+            max_failures=1,
+        )
+        report = run_fuzz(config)
+        assert [f.oracle for f in report.failures] == ["fidelity"]
+        assert all(v.engine == "ptas" for v in report.failures[0].violations)
 
     def test_replay_file_clean_after_fix(self, tmp_path):
         """A repro recorded against a scratch engine no longer fails

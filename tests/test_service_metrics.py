@@ -72,6 +72,42 @@ class TestRegistry:
         assert line.startswith("metrics:")
         assert "hits=2" in line
 
+    def test_repeated_lookups_return_the_same_instrument(self):
+        reg = MetricsRegistry()
+        for lookup in (reg.counter, reg.gauge, reg.histogram):
+            assert lookup("x") is lookup("x")
+        reg.counter("x").inc(2)
+        reg.counter("x").inc()
+        assert reg.snapshot()["counters"]["x"] == 3
+
+    def test_racing_first_lookups_share_one_instrument(self):
+        import sys
+        import threading
+
+        reg = MetricsRegistry()
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def first_lookup():
+            barrier.wait(timeout=10)
+            seen.append(reg.histogram("race"))
+            reg.counter("race").inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_lookup) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and all(h is seen[0] for h in seen)
+        # A second counter built by a racing lookup would lose increments.
+        assert reg.counter("race").value == 8
+
     def test_set_many_prefixes(self):
         reg = MetricsRegistry()
         reg.set_many("cache", {"hits": 3.0, "misses": 1.0})

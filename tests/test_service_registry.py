@@ -12,7 +12,7 @@ from repro.service.registry import (
     get_engine,
     solve_to_result,
 )
-from repro.service.requests import SolveRequest
+from repro.service.requests import SolveRequest, StreamRequest
 
 
 def _request(engine: str, **kwargs) -> SolveRequest:
@@ -71,10 +71,28 @@ class TestSolveAdapters:
         assert verify_schedule(schedule, inst).ok
         assert schedule.makespan <= get_engine(engine).guarantee(req) * 14 + 1e-9
 
-    def test_ptas_rejects_unknown_dp_engine(self):
-        req = _request("ptas", dp_engine="bogus")
-        with pytest.raises(UnknownEngineError, match="bogus"):
-            get_engine("ptas").solve(req.instance(), req, None)
+    def test_ptas_request_rejects_dp_engine_field(self):
+        # No wire field may change a ptas answer without entering the
+        # cache key, so the removed DP-engine selector is refused.
+        wire = {**_request("ptas").to_dict(), "dp_engine": "dominance"}
+        with pytest.raises(ValueError, match="dp_engine"):
+            SolveRequest.from_dict(wire)
+        with pytest.raises(TypeError):
+            _request("ptas", dp_engine="dominance")
+        stream = {"op": "stream", "action": "open_session", "tenant": "t",
+                  "machines": 2, "dp_engine": "dominance"}
+        with pytest.raises(ValueError, match="dp_engine"):
+            StreamRequest.from_dict(stream)
+
+    def test_ptas_serves_the_table_witness(self):
+        from repro.core.ptas import ptas
+
+        req = _request("ptas", eps=0.3)
+        inst = req.instance()
+        reference = ptas(inst, 0.3, engine="table").schedule
+        assert get_engine("ptas").solve(inst, req, None).assignment == (
+            reference.assignment
+        )
 
     def test_parallel_ptas_rejects_unknown_backend(self):
         req = _request("parallel_ptas", backend="bogus")

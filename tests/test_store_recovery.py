@@ -38,14 +38,16 @@ from repro.store import (
     worker_journal_name,
 )
 from repro.store.journal import JOURNAL_NAME
+from repro.store.records import encode_record
 from repro.store.segment import QUARANTINE_SUFFIX, list_segments
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
 
-#: Pinned instance whose PTAS solve takes a couple of seconds — long
-#: enough that a SIGKILL lands between the journal ``begin`` and the
-#: solve finishing, deterministic enough to re-solve for the byte-match.
+#: Pinned instance whose PTAS solve takes a couple of seconds at
+#: ``eps=0.12`` — long enough that a SIGKILL lands between the journal
+#: ``begin`` and the solve finishing, deterministic enough to re-solve
+#: for the byte-match.
 SLOW_TIMES = (
     132, 49, 21, 43, 169, 28, 191, 197, 41, 45,
     110, 80, 24, 27, 24, 108, 185, 179, 143, 177,
@@ -59,7 +61,7 @@ def _slow_request(request_id: str = "crash-1") -> SolveRequest:
         times=SLOW_TIMES,
         machines=6,
         engine="ptas",
-        eps=0.15,
+        eps=0.12,
         request_id=request_id,
     )
 
@@ -92,6 +94,40 @@ class TestRecoverUnit:
         reopened.close()
         store.close()
         assert (tmp_path / JOURNAL_NAME).read_bytes() == b""
+
+    def test_legacy_journal_entry_replays_with_the_kernel(self, tmp_path):
+        # A crash journal of release 1.0.0: every begin record carries
+        # the since-removed ``dp_engine`` field.
+        legacy = {
+            "times": [9, 8, 7, 6, 5, 5, 4, 3, 2, 1], "machines": 3,
+            "problem": "p_cmax", "speeds": [], "protocol": 2,
+            "engine": "ptas", "eps": 0.3, "deadline": None,
+            "dp_engine": "dominance", "workers": 4, "backend": "thread",
+            "mode": "wavefront", "time_limit": None, "request_id": "old-1",
+        }
+        (tmp_path / JOURNAL_NAME).write_text(
+            encode_record("begin", {"id": "00000001-0123456789ab", "request": legacy})
+            + "\n"
+        )
+        store = ResultStore(tmp_path)
+        journal = WriteAheadJournal(tmp_path)
+        [entry] = journal.uncommitted()
+        assert entry.request.times == tuple(legacy["times"])
+        report = recover(store, journal)
+        assert report.ok and report.replayed == 1
+        stored = store.get(canonical_key(entry.request))
+        journal.close()
+        store.close()
+        # The re-solve is the kernel's table witness (makespan 17), not
+        # the dominance engine's (18).
+        from repro.core.ptas import ptas
+
+        table = ptas(entry.request.instance(), 0.3, engine="table")
+        assert stored.makespan == table.makespan == 17
+        served = localize_result(entry.request, stored)
+        assert sorted(map(sorted, served.assignment)) == sorted(
+            map(sorted, table.schedule.assignment)
+        )
 
     def test_already_stored_entry_is_committed_without_solving(self, tmp_path):
         request = _req([4, 4, 2], engine="lpt")
