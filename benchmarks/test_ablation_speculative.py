@@ -20,7 +20,7 @@ INSTANCE = make_instance("u_10n", 10, 30, seed=5)
 
 
 def solver(problem: DPProblem, m: int) -> DPResult:
-    return solve(problem, "dominance", limit=m)
+    return solve(problem, "numpy", limit=m)
 
 
 @pytest.mark.parametrize("branching", [1, 3, 7])

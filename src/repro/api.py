@@ -48,7 +48,6 @@ def solve(
     ctx: "SolveContext | None" = None,
     workers: int | str = 1,
     backend: str = "numpy-serial",
-    mode: str = "wavefront",
     time_limit: float | None = None,
     request_id: str = "",
 ) -> "SolveResult":
@@ -70,7 +69,7 @@ def solve(
     ctx:
         Optional :class:`~repro.core.context.SolveContext` carrying
         deadline hook, warm-start policy, tracer, metrics, executor.
-    workers / backend / mode / time_limit:
+    workers / backend / time_limit:
         Engine tuning knobs, identical to their
         :class:`~repro.service.SolveRequest` fields.
     request_id:
@@ -109,7 +108,6 @@ def solve(
         eps=eps,
         workers=workers,
         backend=backend,
-        mode=mode,
         time_limit=time_limit,
         request_id=request_id,
     )

@@ -14,8 +14,8 @@ Subcommands
 ``table``
     Regenerate Table I, II or III.
 ``bench-dp``
-    Compare the DP engines on one generated instance (the ablation of
-    DESIGN.md §7) — handy for quick profiling.
+    Compare the DP engines (``table``, ``numpy``, ``config-ilp``) on one
+    generated instance — handy for quick profiling.
 ``serve`` / ``submit``
     Run the asyncio scheduling service (``docs/service.md``) and submit
     requests to it over the JSON-lines protocol.  ``serve --store DIR``
@@ -43,7 +43,6 @@ import sys
 import time
 from typing import Sequence
 
-from repro.core.ptas import MODES
 from repro.model.instance import Instance
 from repro.model.problem import P_CMAX, Q_CMAX, available_problems, canonical_problem_name
 from repro.model.qinstance import QInstance
@@ -192,7 +191,6 @@ def _solve_request_from_args(
         eps=args.eps,
         workers=args.workers,
         backend=args.backend,
-        mode=getattr(args, "mode", "wavefront"),
         time_limit=args.time_limit,
         deadline=getattr(args, "deadline", None),
     )
@@ -771,13 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel-ptas wavefront backend (default numpy-serial; "
         "every backend fills the same table)",
     )
-    solve.add_argument(
-        "--mode",
-        choices=MODES,
-        default="wavefront",
-        help="parallel-ptas bisection mode: wavefront (all workers inside "
-        "each DP), speculative (concurrent probe targets), or auto",
-    )
     solve.add_argument("--time-limit", type=float, default=None)
     solve.add_argument(
         "--trace",
@@ -922,12 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count or 'auto' (resolved server-side)",
     )
     sub_cmd.add_argument("--backend", default="numpy-serial")
-    sub_cmd.add_argument(
-        "--mode",
-        choices=MODES,
-        default="wavefront",
-        help="parallel-ptas bisection mode (see 'solve')",
-    )
     sub_cmd.add_argument("--time-limit", type=float, default=None)
     sub_cmd.add_argument(
         "--deadline",

@@ -7,11 +7,11 @@ Module map (mirrors the paper's Algorithm 1/2/3 structure):
 * :mod:`repro.core.rounding` — long/short job split and rounding of long
   jobs into at most ``k^2`` size classes (Alg. 1, lines 9–24).
 * :mod:`repro.core.configurations` — enumeration of machine
-  configurations (Eq. 3), including the maximal-only variant used by the
-  optimized dominance engine.
+  configurations (Eq. 3).
 * :mod:`repro.core.dp` — sequential dynamic-programming engines computing
-  ``OPT(N)`` (Alg. 2): faithful full table, memoized recursion, exact-sum
-  BFS frontier, dominance-pruned cover, and a numpy-vectorized sweep.
+  ``OPT(N)`` (Alg. 2): the faithful full table (the reference), the
+  numpy-vectorized sweep (the kernel, the default), and the
+  configuration IP of :mod:`repro.core.dp_ilp`.
 * :mod:`repro.core.kernels` — the vectorized level kernel every
   wavefront backend and the ``numpy`` engine run.
 * :mod:`repro.core.parallel_dp` — the paper's contribution (Alg. 3): the
@@ -20,7 +20,9 @@ Module map (mirrors the paper's Algorithm 1/2/3 structure):
   barrier per tile diagonal); the simulated backend models Alg. 3's
   per-level schedule or those tiles.
 * :mod:`repro.core.bisection` — the dual-approximation bisection driver
-  over target makespans ``T`` (Alg. 1, lines 5–30).
+  over target makespans ``T`` (Alg. 1, lines 5–30);
+  :mod:`repro.core.speculative` — its multi-probe variant, for the
+  simulated ablation of DESIGN.md §7.
 * :mod:`repro.core.reconstruct` — replacing rounded long jobs by the
   originals and LPT placement of short jobs (Alg. 1, lines 31–51).
 * :mod:`repro.core.context` — :class:`SolveContext`, the single object

@@ -4,18 +4,25 @@ The PTAS is a *dual approximation*: for a candidate makespan ``T`` the
 rounded DP answers "can the long jobs be packed into at most ``m``
 machines within ``T``?".  Bisection narrows ``[LB, UB]`` — feasible
 targets shrink ``UB`` to ``T``, infeasible ones raise ``LB`` to ``T+1`` —
-until ``LB == UB``.  Because the DP is exact on the *rounded* jobs and
-rounding only shrinks processing times, feasibility is monotone in ``T``
-and the final ``UB`` is a valid (rounded) packing target whose un-rounded
-schedule is within the PTAS guarantee.
+until ``LB == UB``.  The DP is exact on the *rounded* jobs and rounding
+only shrinks processing times, so every ``T >= OPT`` is feasible.
+Feasibility is *not* monotone in ``T`` below ``OPT``: the rounding unit
+``ceil(T/k^2)`` and the long/short split move with ``T``, so a target can
+be feasible while the next one up is not (``tests/test_bisection.py``
+pins such a dip).  The search needs only the one-sided fact: an
+infeasible probe proves ``T < OPT``, so ``LB`` never passes ``OPT``,
+and ``UB`` only moves to a target the DP certified.  The final
+``UB = LB`` is therefore a DP-feasible target ``<= OPT``, and its
+un-rounded schedule is within the PTAS guarantee.
 
 Termination: the initial width is at most ``max t`` (Eqs. 1–2) and halves
 every iteration, so the loop runs ``O(log max t)`` times.
 
 Warm starts (deviation from the paper, ``warm_start=True``)
 -----------------------------------------------------------
-Three cheap accelerations shrink the work per solve without changing the
-certified target (property-tested against the faithful search):
+Three cheap accelerations shrink the work per solve; each still
+certifies a DP-feasible target ``<= OPT`` (see below; property-tested
+against the faithful search and brute force):
 
 * **LPT-seeded upper bound.**  Eq. 2 is Graham's worst case; the actual
   LPT makespan is never larger and usually much closer to optimal, and
@@ -35,13 +42,11 @@ certified target (property-tested against the faithful search):
   earlier probe's :class:`~repro.core.dp.DPResult` instead of a refill.
   Every probe still gets its ``probe`` span and iteration record; only
   the ``dp`` span is missing, counted by ``dp_reuses``.  The simulated
-  backend, the speculative mode and the sequential
-  :func:`~repro.core.ptas.ptas` fill every probe, as does the faithful
-  search.
+  backend and the sequential :func:`~repro.core.ptas.ptas` fill every
+  probe, as does the faithful search.
 
 Every probe threads the machine budget through to the solver as its
-decision ``limit``, so early-exit engines (``frontier``, ``dominance``)
-stop at depth ``m`` — the callable contract of :data:`DecisionSolver`.
+decision ``limit`` — the callable contract of :data:`DecisionSolver`.
 Probe reuse returns exactly what a refill would, and the other two
 accelerations certify an equally valid target: every ``T >= OPT``
 is feasible for the rounded DP (rounding only shrinks loads), so any

@@ -15,14 +15,8 @@ configuration contains at most about ``k`` jobs, so the configuration set
 is small (polynomial in ``k`` for fixed ``d``) even when the DP table is
 huge — exactly the property the Hochbaum–Shmoys analysis uses.
 
-Two enumerations are provided:
-
-* :func:`enumerate_configurations` — all non-zero feasible configurations
-  (what Alg. 2/3 call ``C``); used by the faithful DP engines.
-* :func:`enumerate_maximal_configurations` — only the configurations to
-  which no further job can be added.  Sufficient for the *cover*
-  formulation used by the optimized dominance engine (any machine can
-  drop jobs from a maximal configuration), and typically far fewer.
+:func:`enumerate_configurations` returns all non-zero feasible
+configurations — what Alg. 2/3 call ``C``.
 """
 
 from __future__ import annotations
@@ -158,60 +152,6 @@ def enumerate_configurations(
         sum(count * size for count, size in zip(cfg, sizes)) for cfg in all_configs
     )
     return ConfigurationSet(sizes, int(target), all_configs, weights)
-
-
-def is_maximal(
-    config: Sequence[int],
-    class_sizes: Sequence[int],
-    caps: Sequence[int],
-    target: int,
-    max_jobs: int | None = None,
-) -> bool:
-    """True iff no class count of ``config`` can be incremented without
-    violating its cap, the capacity ``target``, or the ``max_jobs``
-    bound."""
-    weight = sum(s * size for s, size in zip(config, class_sizes))
-    if weight > target:
-        return False
-    total = sum(config)
-    if max_jobs is not None and total > max_jobs:
-        return False
-    if max_jobs is not None and total == max_jobs:
-        return True
-    for c, (count, cap) in enumerate(zip(config, caps)):
-        if count < cap and weight + class_sizes[c] <= target:
-            return False
-    return True
-
-
-def enumerate_maximal_configurations(
-    class_sizes: Sequence[int],
-    caps: Sequence[int],
-    target: int,
-    max_jobs: int | None = None,
-) -> ConfigurationSet:
-    """Only the Pareto-maximal feasible configurations.
-
-    A configuration is maximal when no job of any class can be added.  In
-    the *cover* relaxation (machines may under-fill a configuration), a
-    multiset of machines can pack ``N`` iff some choice of maximal
-    configurations componentwise-covers ``N``, so restricting the search
-    to maximal configurations is lossless there.
-    """
-    full = enumerate_configurations(
-        class_sizes, caps, target, include_zero=True, max_jobs=max_jobs
-    )
-    keep = [
-        (cfg, w)
-        for cfg, w in zip(full.configs, full.weights)
-        if any(cfg) and is_maximal(cfg, full.class_sizes, caps, target, max_jobs)
-    ]
-    return ConfigurationSet(
-        full.class_sizes,
-        full.target,
-        tuple(cfg for cfg, _ in keep),
-        tuple(w for _, w in keep),
-    )
 
 
 def configuration_count_bound(k: int, num_classes: int) -> int:

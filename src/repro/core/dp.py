@@ -19,46 +19,30 @@ Engines
     Faithful to Alg. 2/3: materializes the full DP table of
     ``sigma = prod(n_i + 1)`` entries in row-major order and sweeps it
     once.  Row-major order dominates the componentwise order, so every
-    predecessor ``v - s`` is ready when ``v`` is processed.
-``memo``
-    Top-down memoized recursion — the literal transcription of Eq. 4.
-    Visits only states reachable *backwards* from ``N``; used as a
-    cross-check oracle on small inputs.
-``frontier``
-    Forward BFS from the zero vector where each edge adds one machine
-    configuration; the BFS depth at which ``v`` is first reached is
-    ``OPT(v)``.  Supports early exit once a depth limit (e.g. the machine
-    count ``m``) is exceeded, which is all the bisection needs.
-``dominance``
-    Optimized *cover* formulation: machines may be under-filled, so only
-    maximal configurations matter and dominated partial covers can be
-    pruned (keep only Pareto-maximal vectors ``min(v + s, N)``).  Returns
-    exactly the same ``OPT`` (a cover can always be trimmed to an exact
-    packing because any sub-multiset of a feasible configuration is
-    feasible).  Usually orders of magnitude faster; this is the engine a
-    practitioner should use, and the ablation benchmarks quantify why.
+    predecessor ``v - s`` is ready when ``v`` is processed.  The
+    reference the tests and the golden suite compare against.
 ``numpy``
     Vectorized variant of the level sweep: all states of one
     anti-diagonal are processed with numpy array operations, all
     configurations in one fused pass.  Semantically identical to
-    ``table``.
+    ``table``; the kernel every PTAS answer comes from (the default).
+``config-ilp``
+    The Gilmore–Gomory configuration integer program
+    (:mod:`repro.core.dp_ilp`): the same ``OPT(N)`` from an independent
+    formulation, with no table at all.
 
-All engines return a :class:`DPResult` and agree with each other — the
+All engines return a :class:`DPResult` and agree on ``OPT(N)`` — the
 test suite enforces this on randomized inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.configurations import (
-    ConfigurationSet,
-    enumerate_configurations,
-    enumerate_maximal_configurations,
-)
+from repro.core.configurations import ConfigurationSet, enumerate_configurations
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
 from repro.core.kernels import LevelKernel
 from repro.parallel.runs import level_sizes_from_dims
@@ -134,12 +118,6 @@ class DPProblem:
     def configurations(self) -> ConfigurationSet:
         """The full non-zero configuration set ``C`` for this problem."""
         return enumerate_configurations(
-            self.class_sizes, self.counts, self.target, max_jobs=self.job_cap
-        )
-
-    def maximal_configurations(self) -> ConfigurationSet:
-        """Only the Pareto-maximal configurations (dominance engine)."""
-        return enumerate_maximal_configurations(
             self.class_sizes, self.counts, self.target, max_jobs=self.job_cap
         )
 
@@ -236,16 +214,12 @@ def backtrack_schedule(
     return tuple(chosen)
 
 
-def _enumerate_traced(
-    problem: DPProblem, ctx: SolveContext, *, maximal: bool = False
-) -> ConfigurationSet:
+def _enumerate_traced(problem: DPProblem, ctx: SolveContext) -> ConfigurationSet:
     """Enumerate the problem's configuration set under an ``enumerate``
     span, tagging the span with ``|C|`` and bumping the
     ``configs_enumerated`` counter."""
-    with ctx.span("enumerate", maximal=maximal) as sp:
-        configs = (
-            problem.maximal_configurations() if maximal else problem.configurations()
-        )
+    with ctx.span("enumerate") as sp:
+        configs = problem.configurations()
         sp.set(num_configs=len(configs))
     ctx.count("configs_enumerated", len(configs))
     return configs
@@ -389,252 +363,6 @@ def solve_table(
 
 
 # ---------------------------------------------------------------------------
-# Engine: memoized recursion (literal Eq. 4)
-# ---------------------------------------------------------------------------
-
-def solve_memo(
-    problem: DPProblem,
-    *,
-    limit: int | None = None,
-    track_schedule: bool = True,
-    collect_stats: bool = False,
-    ctx: SolveContext | None = None,
-) -> DPResult:
-    """Top-down transcription of Eq. 4 with memoization.
-
-    Only intended as a readable oracle for tests; recursion depth grows
-    with the number of long jobs, so inputs must stay small.
-    """
-    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-    if not problem.counts:
-        return _empty_result("memo", collect_stats)
-    configs = _enumerate_traced(problem, ctx)
-    memo: dict[tuple[int, ...], int] = {}
-    scans = 0
-
-    import sys
-
-    need_depth = problem.num_long_jobs * 2 + 64
-    old_limit = sys.getrecursionlimit()
-    if old_limit < need_depth:
-        sys.setrecursionlimit(need_depth)
-
-    def opt(v: tuple[int, ...]) -> int:
-        nonlocal scans
-        if not any(v):
-            return 0
-        cached = memo.get(v)
-        if cached is not None:
-            return cached
-        best: int | None = None
-        for cfg in configs.configs:
-            scans += 1
-            if all(s <= vc for s, vc in zip(cfg, v)):
-                sub = opt(tuple(vc - s for vc, s in zip(v, cfg)))
-                if best is None or sub < best:
-                    best = sub
-        assert best is not None, "singleton configurations guarantee feasibility"
-        memo[v] = best + 1
-        return best + 1
-
-    try:
-        value = opt(problem.counts)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    stats = (
-        _stats(problem, len(configs), len(memo) + 1, scans) if collect_stats else None
-    )
-    if limit is not None and value > limit:
-        return DPResult(opt=None, engine="memo", stats=stats)
-    machine_configs: tuple[tuple[int, ...], ...] = ()
-    if track_schedule:
-        strides = problem.strides()
-
-        def lookup(flat: int) -> int | None:
-            vec = unrank(flat, problem.dims, strides)
-            if not any(vec):
-                return 0
-            return memo.get(vec)
-
-        with ctx.span("backtrack", engine="memo"):
-            machine_configs = backtrack_schedule(lookup, problem, configs)
-    return DPResult(opt=value, machine_configs=machine_configs, engine="memo", stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# Engine: forward BFS on exact sums ("frontier")
-# ---------------------------------------------------------------------------
-
-def solve_frontier(
-    problem: DPProblem,
-    *,
-    limit: int | None = None,
-    track_schedule: bool = True,
-    collect_stats: bool = False,
-    ctx: SolveContext | None = None,
-) -> DPResult:
-    """Breadth-first search from the zero vector, one machine per step.
-
-    The first time a vector ``v`` is reached, the BFS depth equals
-    ``OPT(v)`` (all edges have unit cost).  The search never leaves the
-    box ``0 <= v <= N`` and stops as soon as ``N`` is popped, or once the
-    depth would exceed ``limit``.
-    """
-    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-    if not problem.counts:
-        return _empty_result("frontier", collect_stats)
-    configs = _enumerate_traced(problem, ctx)
-    target_vec = problem.counts
-    depth_of: dict[tuple[int, ...], int] = {tuple([0] * len(target_vec)): 0}
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    frontier: list[tuple[int, ...]] = [tuple([0] * len(target_vec))]
-    depth = 0
-    scans = 0
-    found = target_vec in depth_of
-    while frontier and not found and (limit is None or depth < limit):
-        depth += 1
-        next_frontier: list[tuple[int, ...]] = []
-        for v in frontier:
-            for cfg in configs.configs:
-                scans += 1
-                w = tuple(vc + s for vc, s in zip(v, cfg))
-                if any(wc > nc for wc, nc in zip(w, target_vec)):
-                    continue
-                if w in depth_of:
-                    continue
-                depth_of[w] = depth
-                parent[w] = (v, cfg)
-                next_frontier.append(w)
-                if w == target_vec:
-                    found = True
-        frontier = next_frontier
-    stats = (
-        _stats(problem, len(configs), len(depth_of), scans) if collect_stats else None
-    )
-    if target_vec not in depth_of:
-        return DPResult(opt=None, engine="frontier", stats=stats)
-    opt = depth_of[target_vec]
-    if limit is not None and opt > limit:
-        return DPResult(opt=None, engine="frontier", stats=stats)
-    machine_configs: tuple[tuple[int, ...], ...] = ()
-    if track_schedule:
-        chain: list[tuple[int, ...]] = []
-        v = target_vec
-        while any(v):
-            v, cfg = parent[v]
-            chain.append(cfg)
-        machine_configs = tuple(chain)
-    return DPResult(
-        opt=opt, machine_configs=machine_configs, engine="frontier", stats=stats
-    )
-
-
-# ---------------------------------------------------------------------------
-# Engine: dominance-pruned cover with maximal configurations
-# ---------------------------------------------------------------------------
-
-def _prune_dominated(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Keep only the Pareto-maximal vectors (componentwise order)."""
-    vs = sorted(set(vectors), key=lambda v: (-sum(v), v))
-    kept: list[tuple[int, ...]] = []
-    for v in vs:
-        if not any(all(kc >= vc for kc, vc in zip(k, v)) for k in kept):
-            kept.append(v)
-    return kept
-
-
-def _trim_cover_to_exact(
-    cover: Sequence[tuple[int, ...]], counts: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Remove surplus jobs from a componentwise cover so the configurations
-    sum to exactly ``counts``.
-
-    Dropping jobs from a configuration keeps it feasible (sizes are
-    positive), so the trimmed multiset is a valid exact packing.
-    """
-    trimmed = [list(cfg) for cfg in cover]
-    for c in range(len(counts)):
-        surplus = sum(cfg[c] for cfg in trimmed) - counts[c]
-        if surplus < 0:  # pragma: no cover - cover precondition guard
-            raise AssertionError("cover does not cover counts")
-        for cfg in trimmed:
-            if surplus == 0:
-                break
-            take = min(cfg[c], surplus)
-            cfg[c] -= take
-            surplus -= take
-    return tuple(tuple(cfg) for cfg in trimmed if any(cfg))
-
-
-def solve_dominance(
-    problem: DPProblem,
-    *,
-    limit: int | None = None,
-    track_schedule: bool = True,
-    collect_stats: bool = False,
-    ctx: SolveContext | None = None,
-) -> DPResult:
-    """Optimized engine: cover formulation + Pareto pruning.
-
-    ``N`` can be packed into ``l`` machines iff ``l`` *maximal*
-    configurations can componentwise cover ``N`` (surplus jobs are simply
-    dropped).  The set of vectors coverable with ``l`` machines is
-    represented by its Pareto-maximal elements only, clamped to the box
-    ``<= N``; this keeps the per-step state tiny compared to the full DP
-    table.
-    """
-    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-    if not problem.counts:
-        return _empty_result("dominance", collect_stats)
-    configs = _enumerate_traced(problem, ctx, maximal=True)
-    target_vec = problem.counts
-    zero = tuple([0] * len(target_vec))
-    frontier: list[tuple[int, ...]] = [zero]
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    seen_best: dict[tuple[int, ...], int] = {zero: 0}
-    depth = 0
-    scans = 0
-    states_total = 1
-    found = target_vec == zero
-    max_depth = problem.num_long_jobs if limit is None else min(
-        limit, problem.num_long_jobs
-    )
-    while not found and depth < max_depth:
-        depth += 1
-        candidates: list[tuple[int, ...]] = []
-        for v in frontier:
-            for cfg in configs.configs:
-                scans += 1
-                w = tuple(min(vc + s, nc) for vc, s, nc in zip(v, cfg, target_vec))
-                if w == v:
-                    continue
-                if w not in parent:
-                    parent[w] = (v, cfg)
-                candidates.append(w)
-        frontier = _prune_dominated(candidates)
-        states_total += len(frontier)
-        if any(v == target_vec for v in frontier):
-            found = True
-    stats = (
-        _stats(problem, len(configs), states_total, scans) if collect_stats else None
-    )
-    if not found:
-        return DPResult(opt=None, engine="dominance", stats=stats)
-    opt = depth
-    machine_configs: tuple[tuple[int, ...], ...] = ()
-    if track_schedule:
-        chain: list[tuple[int, ...]] = []
-        v = target_vec
-        while v != zero:
-            v, cfg = parent[v]
-            chain.append(cfg)
-        machine_configs = _trim_cover_to_exact(chain, target_vec)
-    return DPResult(
-        opt=opt, machine_configs=machine_configs, engine="dominance", stats=stats
-    )
-
-
-# ---------------------------------------------------------------------------
 # Engine: numpy-vectorized anti-diagonal sweep
 # ---------------------------------------------------------------------------
 
@@ -690,9 +418,6 @@ def _solve_config_ilp_lazy(problem: "DPProblem", **kwargs: object) -> DPResult:
 
 SEQUENTIAL_ENGINES: dict[str, Callable[..., DPResult]] = {
     "table": solve_table,
-    "memo": solve_memo,
-    "frontier": solve_frontier,
-    "dominance": solve_dominance,
     "numpy": solve_numpy,
     "config-ilp": _solve_config_ilp_lazy,
 }
@@ -700,7 +425,7 @@ SEQUENTIAL_ENGINES: dict[str, Callable[..., DPResult]] = {
 
 def solve(
     problem: DPProblem,
-    engine: str = "dominance",
+    engine: str = "numpy",
     *,
     limit: int | None = None,
     track_schedule: bool = True,

@@ -15,43 +15,23 @@ the sequential one, so it inherits the guarantee verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.bisection import BisectionOutcome, bisect_target_makespan
-from repro.core.bounds import makespan_bounds
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
 from repro.core.dp import DPProblem, DPResult, _enumerate_traced, solve
 from repro.core.parallel_dp import BACKENDS, EXECUTOR_BACKENDS, parallel_dp
-from repro.core.rounding import accuracy_parameter, round_instance
-from repro.core.speculative import speculative_bisect
+from repro.core.rounding import accuracy_parameter
 from repro.model.instance import Instance
 from repro.model.schedule import Schedule
 from repro.core.reconstruct import build_schedule
-from repro.obs.trace import NULL_TRACER
 from repro.parallel.executor import make_executor
-from repro.parallel.runs import level_sizes_from_dims
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import SimulatedMachine
 
 #: Backends whose probes run through a pooled executor; the driver owns
 #: one persistent (reusable) pool for the whole bisection.
 _POOLED_BACKENDS = ("thread", "process")
-
-#: Bisection modes of :func:`parallel_ptas`.
-#: ``wavefront`` — sequential bisection, every probe's DP parallelized
-#: across all ``P`` workers (the paper's design).
-#: ``speculative`` — ``g`` independent probe targets per round evaluated
-#: concurrently, each probe a serial DP sweep (see
-#: :mod:`repro.core.speculative`); right when tables are too narrow for
-#: the wavefront to absorb ``P`` workers.
-#: ``auto`` — pick per instance: speculative when the widest anti-diagonal
-#: of a representative probe cannot keep the workers busy.
-MODES = ("wavefront", "speculative", "auto")
-
-#: ``auto`` picks the speculative mode when the widest level of the
-#: midpoint probe holds fewer than this many states per worker — below
-#: that, per-level chunks are too small for intra-DP parallelism to pay.
-_NARROW_STATES_PER_WORKER = 64
 
 
 @dataclass(frozen=True)
@@ -66,10 +46,6 @@ class PTASResult:
     dp_engine: str
     num_workers: int = 1
     machine: SimulatedMachine | None = None
-    #: Bisection mode that actually ran (:data:`MODES`, already resolved
-    #: when the caller asked for ``auto``); sequential runs report
-    #: ``wavefront``.
-    mode: str = "wavefront"
 
     @property
     def makespan(self) -> int:
@@ -128,9 +104,9 @@ def ptas(
         Sequential DP engine (see :data:`repro.core.dp.SEQUENTIAL_ENGINES`).
         ``"table"`` is the faithful full-table sweep; the default
         ``"numpy"`` fills the same table with the wavefront kernel, so
-        it returns the same target and schedule, faster.  The other
-        engines certify the same target but may reconstruct a different
-        schedule.
+        it returns the same target and schedule, faster.
+        ``"config-ilp"`` certifies the same target but may reconstruct a
+        different schedule.
     guarantee_fix:
         Cap machine configurations at ``k - 1`` long jobs (default).  The
         algorithm *as printed* can exceed ``(1 + eps) OPT`` on integral
@@ -203,122 +179,12 @@ def ptas(
     )
 
 
-def _choose_mode(
-    instance: Instance, k: int, num_workers: int, job_cap: int | None
-) -> str:
-    """Resolve ``mode="auto"``: speculative when the midpoint probe's
-    widest anti-diagonal cannot keep ``P`` workers usefully busy."""
-    if num_workers < 2:
-        return "wavefront"
-    lb = makespan_bounds(instance).lower
-    ub = makespan_bounds(instance).upper
-    if lb >= ub:
-        return "wavefront"
-    rounded = round_instance(instance, (lb + ub) // 2, k)
-    problem = DPProblem(
-        rounded.class_sizes, rounded.class_counts, rounded.target, job_cap=job_cap
-    )
-    widest = int(level_sizes_from_dims(problem.dims).max())
-    if widest < num_workers * _NARROW_STATES_PER_WORKER:
-        return "speculative"
-    return "wavefront"
-
-
-def _speculative_parallel_ptas(
-    instance: Instance,
-    eps: float,
-    num_workers: int,
-    backend: str,
-    branching: int,
-    collect_stats: bool,
-    guarantee_fix: bool,
-    ctx: SolveContext,
-) -> PTASResult:
-    """The speculative mode: ``branching`` concurrent decision probes per
-    bisection round, each a serial numpy DP sweep (the mode exists
-    precisely because the tables are too narrow to split *within* a
-    probe), certification pipelined behind the rounds.
-
-    Probes run on a thread pool — the kernel releases the GIL inside
-    numpy, so concurrent probes scale like the wavefront's thread
-    backend — except for ``backend="serial"``, which keeps everything on
-    the calling thread (the deterministic reference).  The tracer stays
-    on the driver thread throughout (see
-    :func:`repro.core.speculative.speculative_bisect`).
-    """
-    k = accuracy_parameter(eps)
-    cap = _effective_job_cap(k, guarantee_fix)
-    # Workers must not touch the (thread-unsafe) tracer, and must not
-    # inherit a wavefront executor: each probe is one serial DP.
-    inner_ctx = replace(ctx, tracer=NULL_TRACER, executor=None)
-
-    def decision_solver(problem: DPProblem, m: int) -> DPResult:
-        return parallel_dp(
-            problem, 1, "numpy-serial", limit=m, track_schedule=False,
-            ctx=inner_ctx,
-        )
-
-    def certify_solver(problem: DPProblem, m: int) -> DPResult:
-        return parallel_dp(
-            problem, 1, "numpy-serial", limit=m, track_schedule=True,
-            collect_stats=collect_stats, ctx=inner_ctx,
-        )
-
-    probe_backend = "serial" if backend == "serial" else "thread"
-    executor = make_executor(
-        probe_backend, branching, reuse=probe_backend == "thread"
-    )
-    try:
-        with ctx.span(
-            "solve",
-            algorithm="parallel-ptas",
-            engine=f"parallel-{backend}",
-            backend=backend,
-            mode="speculative",
-            branching=branching,
-            workers=num_workers,
-            n=instance.num_jobs,
-            m=instance.num_machines,
-            eps=eps,
-            k=k,
-        ) as sp:
-            outcome = speculative_bisect(
-                instance,
-                k,
-                certify_solver,
-                branching,
-                job_cap=cap,
-                ctx=ctx,
-                executor=executor,
-                decision_solver=decision_solver,
-            )
-            with ctx.span("reconstruct"):
-                schedule = build_schedule(
-                    instance, outcome.rounded, outcome.dp_result.machine_configs
-                )
-            sp.set(makespan=schedule.makespan, final_target=outcome.final_target)
-    finally:
-        executor.close()
-    return PTASResult(
-        schedule=schedule,
-        eps=eps,
-        k=k,
-        final_target=outcome.final_target,
-        outcome=outcome,
-        dp_engine=f"parallel-{backend}",
-        num_workers=num_workers,
-        mode="speculative",
-    )
-
-
 def parallel_ptas(
     instance: Instance,
     eps: float,
     num_workers: int,
     *,
     backend: str = "simulated",
-    mode: str = "wavefront",
-    branching: int | None = None,
     cost_model: CostModel | None = None,
     collect_stats: bool = False,
     guarantee_fix: bool = True,
@@ -337,20 +203,6 @@ def parallel_ptas(
         kernel; scales on multicore), ``"process"`` (shared-memory worker
         processes), or ``"simulated"`` (deterministic multicore model
         used by the speedup experiments — see DESIGN.md §6).
-    mode:
-        Where the workers go (:data:`MODES`): ``"wavefront"`` puts them
-        all inside each probe's DP; ``"speculative"`` spends them across
-        ``branching`` concurrent probe targets per bisection round
-        (serial/thread/process backends only — the simulated study lives
-        in :func:`repro.core.speculative.simulate_speculative_ptas`);
-        ``"auto"`` measures the midpoint probe's widest anti-diagonal and
-        picks speculative only when it is too narrow to absorb ``P``
-        workers.  Both modes certify an equally valid ``(1 + eps)``
-        target (feasibility is monotone in the target).
-    branching:
-        Concurrent probes per speculative round ``g`` (the interval
-        shrinks by a factor ``g + 1`` per round); defaults to
-        ``num_workers``.
     ctx:
         :class:`~repro.core.context.SolveContext` carrying deadline hook,
         warm-start policy, tracer and (optionally) an externally owned
@@ -371,8 +223,8 @@ def parallel_ptas(
     repeated key instead of refilling.  Each probe is still traced and
     recorded in ``outcome.iterations``; a reused one has no ``dp`` span
     and bumps the ``dp_reuses`` counter.  The simulated backend (which
-    charges every probe to the modeled machine), the faithful search
-    (``warm_start=False``) and the speculative mode fill every probe.
+    charges every probe to the modeled machine) and the faithful search
+    (``warm_start=False``) fill every probe.
 
     The returned schedule is identical to :func:`ptas` with
     ``engine="table"`` — parallelization changes execution order within
@@ -382,37 +234,8 @@ def parallel_ptas(
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
         )
-    if mode not in MODES:
-        raise ValueError(
-            f"unknown mode {mode!r}; expected one of {sorted(MODES)}"
-        )
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     k = accuracy_parameter(eps)
-    if mode == "auto":
-        mode = (
-            _choose_mode(
-                instance, k, num_workers, _effective_job_cap(k, guarantee_fix)
-            )
-            if backend in EXECUTOR_BACKENDS
-            else "wavefront"
-        )
-    if mode == "speculative":
-        if backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"mode='speculative' requires an executor backend "
-                f"{EXECUTOR_BACKENDS}; for the simulated study use "
-                "repro.core.speculative.simulate_speculative_ptas"
-            )
-        return _speculative_parallel_ptas(
-            instance,
-            eps,
-            num_workers,
-            backend,
-            branching if branching is not None else max(1, num_workers),
-            collect_stats,
-            guarantee_fix,
-            ctx,
-        )
     machine = (
         SimulatedMachine(num_workers, cost_model or CostModel())
         if backend == "simulated"

@@ -10,34 +10,24 @@ one probe's result merely sharpens the interval.
 
 With ``g`` simultaneous probes per round the interval shrinks by a
 factor of ``g + 1`` per round instead of 2, so the number of rounds
-drops from ``log2 W`` to ``log_{g+1} W``.  Feasibility is monotone in
-the target, which makes the reduction sound: after a round, the new
-interval is (largest infeasible probe, smallest feasible probe].
+drops from ``log2 W`` to ``log_{g+1} W``.  The reduction needs no
+monotonicity — rounded feasibility is *not* monotone in the target,
+because the rounding unit and the long/short split move with it (see
+:mod:`repro.core.bisection`).  It needs only that every ``T >= OPT`` is
+feasible: an infeasible probe then proves ``T < OPT``, so raising the
+lower end past it never passes ``OPT``, and the upper end only moves to
+a probe the DP certified.  The search ends on a DP-feasible target
+``<= OPT``, which is all the ``(1 + eps)`` guarantee uses.
 
 This module is engine-agnostic — probes are issued through the same
 ``DecisionSolver`` used by :mod:`repro.core.bisection` — and the
 ``repro.experiments`` ablation benchmark charges concurrent probes the
 cost of the *most expensive* one, which is what a g-way parallel machine
-would pay.
-
-Execution modes of :func:`speculative_bisect`
----------------------------------------------
-Without an executor the probes of a round run sequentially (the original
-study semantics).  With an ``executor`` the round's probes are dispatched
-concurrently — one :meth:`~repro.parallel.executor.Executor.map_chunks`
-call per round — and with a separate ``decision_solver`` the expensive
-certification (the schedule-carrying solve of each new best target) is
-*pipelined*: submitted asynchronously so it overlaps the next round's DP
-sweeps, and awaited only when the interval closes.  Tracer note: probe
-work runs off-thread, so per-probe spans are recorded on the driver
-after the round's barrier (zero-duration, attributes carry the measured
-seconds); the tracer itself is never shared with workers.
+would pay (:func:`simulate_speculative_ptas`).  :func:`speculative_bisect`
+itself runs a round's probes one after another on the calling thread.
 """
 
 from __future__ import annotations
-
-import time
-from typing import TYPE_CHECKING
 
 from repro.core.bisection import (
     BisectionIteration,
@@ -51,9 +41,6 @@ from repro.core.context import SolveContext
 from repro.core.dp import DPProblem, DPResult
 from repro.core.rounding import RoundedInstance, round_instance
 from repro.model.instance import Instance
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.executor import Executor
 
 #: Standalone default mirrors :func:`bisect_target_makespan`: the
 #: paper-faithful search (no warm start).
@@ -91,31 +78,23 @@ def speculative_bisect(
     job_cap: int | None = None,
     *,
     ctx: SolveContext | None = None,
-    executor: "Executor | None" = None,
-    decision_solver: DecisionSolver | None = None,
 ) -> BisectionOutcome:
-    """Multi-probe bisection: ``branching`` concurrent targets per round.
+    """Multi-probe bisection: ``branching`` probe targets per round.
 
-    Semantics match :func:`repro.core.bisection.bisect_target_makespan`
-    exactly — same final target, same certification — only the probe
-    schedule differs.  ``branching=1`` degenerates to standard bisection.
+    Like :func:`repro.core.bisection.bisect_target_makespan`, it
+    certifies a DP-feasible target ``<= OPT``; only the probe schedule
+    differs.  ``branching=1`` is the standard bisection, probe for
+    probe.  With more probes per round the two searches may end on
+    different targets, because rounded feasibility is not monotone in
+    ``T`` (see the module docstring) — each is an equally valid
+    ``(1 + eps)`` certificate.
 
     Parameters
     ----------
     solver:
-        The *certifying* solver: its :class:`DPResult` must carry machine
-        configurations, because the outcome's packing comes from it.
-    decision_solver:
-        Optional cheaper solver for the interval-narrowing probes (no
-        schedule tracking).  When given, every probe runs it, and the
-        certification of each new best feasible target runs ``solver``
-        *pipelined* on the executor — overlapping the next round's DP
-        sweeps — or inline at the end when no executor is available.
-    executor:
-        Runs each round's probes concurrently (and hosts the pipelined
-        certification).  ``None`` keeps the sequential probe loop.
-        Probe closures execute off-thread, so the tracer only ever runs
-        on the calling thread: per-probe spans are recorded post-barrier.
+        The decision solver of every probe; its :class:`DPResult` must
+        carry machine configurations, because the outcome's packing
+        comes from it.
     ctx:
         Standalone default is the paper-faithful search (no warm start),
         matching :func:`bisect_target_makespan`; ``ctx.warm_start`` seeds
@@ -127,54 +106,37 @@ def speculative_bisect(
         vs ``speculative.probe_waste``).
     """
     ctx = ctx if ctx is not None else _FAITHFUL_CONTEXT
-    dsolver = decision_solver if decision_solver is not None else solver
     m = instance.num_machines
     lb = makespan_bounds(instance).lower
     ub = _initial_upper_bound(instance, ctx.warm_start, ctx.ub_hint)
     best: tuple[RoundedInstance, DPResult] | None = None
     trace: list[BisectionIteration] = []
-    certify_future = None
-    certify_target: int | None = None
 
-    def run_probe(target: int):
-        """One decision probe (runs off-thread when an executor is set)."""
-        t0 = time.perf_counter()
+    def solve_at(target: int) -> tuple[RoundedInstance, DPProblem, DPResult]:
         rounded = round_instance(instance, target, k)
         problem = DPProblem(
             rounded.class_sizes, rounded.class_counts, target, job_cap=job_cap
         )
-        result = dsolver(problem, m)
-        feasible = result.opt is not None and result.opt <= m
-        return target, rounded, problem, result, feasible, time.perf_counter() - t0
-
-    def certify(target: int) -> tuple[RoundedInstance, DPResult]:
-        """Schedule-carrying solve of a feasible target (the packing the
-        outcome returns)."""
-        rounded = round_instance(instance, target, k)
-        problem = DPProblem(
-            rounded.class_sizes, rounded.class_counts, target, job_cap=job_cap
-        )
-        return rounded, solver(problem, m)
+        return rounded, problem, solver(problem, m)
 
     while lb < ub:
         ctx.check()
         targets = probe_targets(lb, ub, branching)
+        feasible_probes: list[tuple[int, RoundedInstance, DPResult]] = []
+        infeasible_targets: list[int] = []
         with ctx.span(
             "spec_round", lower=lb, upper=ub, probes=len(targets)
         ) as round_span:
-            if executor is not None:
-                results = executor.map_chunks(run_probe, targets)
-            else:
-                results = [run_probe(t) for t in targets]
-            for target, rounded, problem, result, feasible, seconds in results:
+            for target in targets:
                 with ctx.span("probe", target=target, lower=lb, upper=ub) as sp:
+                    rounded, problem, result = solve_at(target)
+                    feasible = result.opt is not None and result.opt <= m
                     sp.set(
                         feasible=feasible,
                         opt=result.opt,
                         table_size=problem.table_size,
                         num_long_jobs=rounded.num_long_jobs,
                         num_classes=rounded.num_classes,
-                        seconds=round(seconds, 6),
                     )
                 trace.append(
                     BisectionIteration(
@@ -188,28 +150,21 @@ def speculative_bisect(
                         num_classes=rounded.num_classes,
                     )
                 )
-            # Monotonicity: feasibility flips at most once along the
-            # sorted probes.  New interval:
-            # (largest infeasible, smallest feasible].
-            feasible_probes = [r for r in results if r[4]]
-            infeasible_probes = [r for r in results if not r[4]]
+                if feasible:
+                    feasible_probes.append((target, rounded, result))
+                else:
+                    infeasible_targets.append(target)
+            # New interval: [largest infeasible + 1, smallest feasible].
+            # Without monotonicity the two ends may cross; the loop then
+            # stops on the smallest feasible probe, still <= OPT.
             wins = 0
             if feasible_probes:
                 wins += 1
-                target, rounded, _problem, result, _, _ = min(
-                    feasible_probes, key=lambda r: r[0]
-                )
-                ub = target
+                ub, rounded, result = min(feasible_probes, key=lambda r: r[0])
                 best = (rounded, result)
-                if decision_solver is not None and executor is not None:
-                    # Pipeline: certify the new best target while the
-                    # next round's probes sweep their DP tables.
-                    certify_future = executor.submit(certify, target)
-                    certify_target = target
-                    ctx.record_metric("speculative.certify_submitted")
-            if infeasible_probes:
+            if infeasible_targets:
                 wins += 1
-                lb = max(r[0] for r in infeasible_probes) + 1
+                lb = max(infeasible_targets) + 1
             round_span.set(new_lower=lb, new_upper=ub, wins=wins)
         ctx.count("probes", len(targets))
         ctx.record_metric("speculative.rounds")
@@ -217,24 +172,14 @@ def speculative_bisect(
         ctx.record_metric("speculative.probe_wins", wins)
         ctx.record_metric("speculative.probe_waste", len(targets) - wins)
 
-    needs_iteration = best is None or best[0].target != ub
-    if decision_solver is not None:
-        # The decision probes carried no schedule; adopt the pipelined
-        # certification if it matches the final target, else solve now.
-        if certify_future is not None and certify_target == ub:
-            rounded, result = certify_future.result()
-        else:
-            rounded, result = certify(ub)
-        best = (rounded, result)
-    elif needs_iteration:
-        rounded, result = certify(ub)
-        best = (rounded, result)
-    rounded, result = best
-    if result.opt is None or result.opt > m:  # pragma: no cover - guard
-        raise AssertionError(
-            f"DP infeasible at the guaranteed-feasible target {ub}"
-        )
-    if needs_iteration:
+    if best is None:
+        # No probe was feasible, so the upper end is still the initial
+        # bound, at least OPT: one more solve certifies it.
+        rounded, problem, result = solve_at(ub)
+        if result.opt is None or result.opt > m:  # pragma: no cover - guard
+            raise AssertionError(
+                f"DP infeasible at the guaranteed-feasible target {ub}"
+            )
         trace.append(
             BisectionIteration(
                 target=ub,
@@ -242,13 +187,13 @@ def speculative_bisect(
                 upper=ub,
                 feasible=True,
                 opt=result.opt,
-                table_size=DPProblem(
-                    rounded.class_sizes, rounded.class_counts, ub, job_cap=job_cap
-                ).table_size,
+                table_size=problem.table_size,
                 num_long_jobs=rounded.num_long_jobs,
                 num_classes=rounded.num_classes,
             )
         )
+        best = (rounded, result)
+    rounded, result = best
     return BisectionOutcome(
         final_target=rounded.target,
         rounded=rounded,

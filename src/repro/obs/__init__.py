@@ -3,7 +3,7 @@
 The observability layer gives every solve a hierarchical trace::
 
     solve
-    ├── spec_round (speculative mode: one multi-probe round)
+    ├── spec_round (speculative_bisect: one multi-probe round)
     │   └── probe ...
     ├── probe (one per bisection iteration)
     │   ├── round        rounding of the probe's target

@@ -45,8 +45,8 @@ from typing import Any, Callable, Iterator
 #: * ``level`` — one wavefront anti-diagonal batch (Alg. 3 inner loop);
 #: * ``run`` — one tile diagonal of the *batched* wavefront (a barrier's
 #:   worth of block×level-run tiles; see ``repro.parallel.runs``);
-#: * ``spec_round`` — one speculative-bisection round (its concurrent
-#:   probes nest beneath it);
+#: * ``spec_round`` — one speculative-bisection round (its probes nest
+#:   beneath it);
 #: * ``backtrack`` — machine-configuration recovery from a filled table;
 #: * ``reconstruct`` — un-rounding + LPT fill into the final schedule.
 SPAN_KINDS = (

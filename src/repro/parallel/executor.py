@@ -47,22 +47,6 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 
-class _ImmediateFuture:
-    """Already-resolved future returned by the serial :meth:`Executor.submit`."""
-
-    __slots__ = ("_value", "_exc")
-
-    def __init__(self, value: Any = None, exc: BaseException | None = None):
-        self._value = value
-        self._exc = exc
-
-    def result(self) -> Any:
-        """The computed value (re-raises the captured exception, if any)."""
-        if self._exc is not None:
-            raise self._exc
-        return self._value
-
-
 class Executor(abc.ABC):
     """Runs the chunks of one level and blocks until all complete."""
 
@@ -79,21 +63,6 @@ class Executor(abc.ABC):
         the result list, mirroring a processor that sits idle during a
         level with ``q_l < P``.
         """
-
-    def submit(self, fn: Callable[[Any], Any], arg: Any) -> Any:
-        """Start ``fn(arg)`` without blocking; return a future-like handle
-        whose ``result()`` blocks for (and returns or raises) the outcome.
-
-        This is the pipelining primitive: the speculative bisection
-        overlaps one probe's backtrack/reconstruction with the next
-        round's DP sweeps by parking the former here.  The serial default
-        runs inline and returns an already-resolved handle — same
-        semantics, no concurrency.
-        """
-        try:
-            return _ImmediateFuture(value=fn(arg))
-        except BaseException as exc:  # noqa: BLE001 - futures carry any error
-            return _ImmediateFuture(exc=exc)
 
     def close(self) -> None:
         """Release pooled resources (idempotent)."""
@@ -147,10 +116,6 @@ class ThreadExecutor(Executor):
         ]
         return [f.result() if f is not None else None for f in futures]
 
-    def submit(self, fn: Callable[[Any], Any], arg: Any) -> Any:
-        """Asynchronous single task on the pool (a real future)."""
-        return self._pool.submit(fn, arg)
-
     def close(self) -> None:
         self._pool.shutdown(wait=True)
 
@@ -178,10 +143,6 @@ class ProcessExecutor(Executor):
             None if _is_empty(c) else self._pool.submit(fn, c) for c in chunks
         ]
         return [f.result() if f is not None else None for f in futures]
-
-    def submit(self, fn: Callable[[Any], Any], arg: Any) -> Any:
-        """Asynchronous single task on the pool (``fn``/``arg`` must pickle)."""
-        return self._pool.submit(fn, arg)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -221,12 +182,6 @@ class ReusableExecutor(Executor):
         if self._released:
             raise RuntimeError("executor was released back to the pool cache")
         return self._inner.map_chunks(fn, chunks)
-
-    def submit(self, fn: Callable[[Any], Any], arg: Any) -> Any:
-        """Delegate to the wrapped pool (see :meth:`Executor.submit`)."""
-        if self._released:
-            raise RuntimeError("executor was released back to the pool cache")
-        return self._inner.submit(fn, arg)
 
     def close(self) -> None:
         if not self._released:

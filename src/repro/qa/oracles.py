@@ -114,7 +114,6 @@ def build_request(
         eps=eps,
         workers=1,
         backend="numpy-serial",
-        mode="wavefront",
     )
 
 

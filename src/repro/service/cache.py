@@ -92,8 +92,6 @@ def canonical_key(request: SolveRequest) -> CacheKey:
     schedule's loads.  Tuning knobs (workers, backend) deliberately do
     not participate: every wavefront backend fills the same table, so
     they change how fast the answer is computed, never the answer.
-    (``mode`` does not participate either, though a speculative
-    bisection may certify a different target than the wavefront one.)
     """
     problem, speeds = canonical_problem_key(request)
     return (

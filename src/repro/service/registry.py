@@ -50,7 +50,7 @@ from repro.algorithms.related import (
 )
 from repro.core.context import SolveContext
 from repro.core.parallel_dp import BACKENDS
-from repro.core.ptas import MODES, parallel_ptas
+from repro.core.ptas import parallel_ptas
 from repro.model.instance import Instance
 from repro.model.problem import P_CMAX, Q_CMAX, canonical_problem_name
 from repro.model.qinstance import QInstance, QSchedule
@@ -165,17 +165,11 @@ def _solve_parallel_ptas(
             f"unknown wavefront backend {request.backend!r}; available: "
             f"{sorted(BACKENDS)}"
         )
-    if request.mode not in MODES:
-        raise UnknownEngineError(
-            f"unknown bisection mode {request.mode!r}; available: "
-            f"{sorted(MODES)}"
-        )
     return parallel_ptas(
         instance,
         request.eps,
         num_workers=resolve_workers(request.workers),
         backend=request.backend,
-        mode=request.mode,
         ctx=ctx,
     ).schedule
 

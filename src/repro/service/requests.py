@@ -108,16 +108,14 @@ class SolveRequest:
         admission.  ``None`` means unbounded.  When a deadline-capable
         engine overruns, the service returns the LPT schedule tagged
         ``degraded=True`` instead of timing out the client.
-    workers / backend / mode:
-        Worker count, wavefront backend, and bisection mode for
-        ``parallel_ptas`` (default: one ``numpy-serial`` worker, the
-        engine ``ptas`` always runs).  ``workers`` may be the string
-        ``"auto"`` — resolved server-side to the CPUs the process can
-        actually use (:func:`repro.parallel.cpus.resolve_workers`).
-        ``mode`` is one of :data:`repro.core.ptas.MODES` (``wavefront`` /
-        ``speculative`` / ``auto``).  In ``wavefront`` mode every
-        backend fills the same table, so ``workers`` and ``backend``
-        change how fast, never what, a PTAS engine answers.
+    workers / backend:
+        Worker count and wavefront backend for ``parallel_ptas``
+        (default: one ``numpy-serial`` worker, the engine ``ptas``
+        always runs).  ``workers`` may be the string ``"auto"`` —
+        resolved server-side to the CPUs the process can actually use
+        (:func:`repro.parallel.cpus.resolve_workers`).
+        Every backend fills the same table, so ``workers`` and
+        ``backend`` change how fast, never what, a PTAS engine answers.
     time_limit:
         Budget forwarded to the exact ``ilp`` solver.
     request_id:
@@ -134,7 +132,6 @@ class SolveRequest:
     deadline: float | None = None
     workers: int | str = 1
     backend: str = "numpy-serial"
-    mode: str = "wavefront"
     time_limit: float | None = None
     request_id: str = ""
 

@@ -43,6 +43,13 @@ from repro.store.resultstore import key_address
 #: Journal file name inside a store root.
 JOURNAL_NAME = "journal.jsonl"
 
+#: Request fields that journals written by earlier code carry and
+#: requests no longer accept: ``dp_engine`` (release 1.0.0) and ``mode``
+#: (1.0.0 until its removal).  Replay drops them, so a crash journal of
+#: any release still recovers, re-solved by the one bisection on the
+#: kernel.
+_REMOVED_REQUEST_FIELDS = ("dp_engine", "mode")
+
 
 def worker_journal_name(worker_id: int) -> str:
     """Journal file name owned by pool worker *worker_id*.
@@ -123,11 +130,8 @@ class WriteAheadJournal:
             entry_id = str(record.get("id", ""))
             if kind == "begin":
                 request = dict(record["request"])
-                # Release 1.0.0 journaled every request with a
-                # ``dp_engine`` field, which the strict parser now
-                # rejects; drop it so a crash journal of that release
-                # still replays (re-solved with the kernel).
-                request.pop("dp_engine", None)
+                for name in _REMOVED_REQUEST_FIELDS:
+                    request.pop(name, None)
                 self._open_entries[entry_id] = SolveRequest.from_dict(request)
             elif kind in ("commit", "abort"):
                 self._open_entries.pop(entry_id, None)

@@ -11,6 +11,8 @@ from repro.core.context import SolveContext
 from repro.core.bounds import makespan_bounds
 from repro.core.dp import DPProblem, DPResult, solve
 from repro.core.rounding import round_instance
+from repro.core.speculative import speculative_bisect
+from repro.exact.branch_and_bound import branch_and_bound
 from repro.exact.brute import brute_force
 from repro.model.instance import Instance
 
@@ -36,7 +38,7 @@ class TestBisection:
 
     def test_final_target_is_minimal_feasible(self, small_instance):
         """Every probe strictly below the final target must have been
-        infeasible (monotonicity of the decision problem)."""
+        infeasible (a feasible one would have lowered UB to it)."""
         outcome = bisect_target_makespan(small_instance, 4, make_solver())
         for it in outcome.iterations:
             if it.target < outcome.final_target:
@@ -77,11 +79,58 @@ class TestBisection:
         assert outcome.rounded.num_long_jobs == 0
         assert outcome.dp_result.opt == 0
 
-    @pytest.mark.parametrize("engine", ["table", "frontier", "dominance"])
+    @pytest.mark.parametrize("engine", ["table", "numpy", "config-ilp"])
     def test_engines_reach_same_target(self, small_instance, engine):
         base = bisect_target_makespan(small_instance, 4, make_solver("table"))
         other = bisect_target_makespan(small_instance, 4, make_solver(engine))
         assert other.final_target == base.final_target
+
+
+#: Rounded feasibility dips inside [LB, UB] on this instance (k = 4,
+#: eps = 0.3): feasible at T = 96, infeasible at 97, feasible at 98,
+#: with or without the ``k - 1`` job cap.  OPT is 101.
+DIP = Instance((22, 1, 19, 73, 6, 57, 17, 44, 2, 93, 62, 86, 85), 6)
+
+
+def dp_feasible(inst: Instance, target: int, k: int, job_cap: int | None) -> bool:
+    """The rounded decision at *target*, solved by the reference table."""
+    r = round_instance(inst, target, k)
+    problem = DPProblem(r.class_sizes, r.class_counts, target, job_cap=job_cap)
+    result = solve(problem, "table", limit=inst.num_machines, track_schedule=False)
+    return result.opt is not None
+
+
+class TestNonMonotoneFeasibility:
+    """Rounded feasibility is not monotone in ``T``: the rounding unit
+    and the long/short split move with the target.  The guarantee needs
+    only that every ``T >= OPT`` is feasible, so every search certifies
+    a DP-feasible target ``<= OPT`` — possibly a different one per
+    search."""
+
+    @pytest.mark.parametrize("job_cap", [None, 3])
+    def test_feasibility_dips_inside_the_bounds(self, job_cap):
+        bounds = makespan_bounds(DIP)
+        assert bounds.lower <= 96 and 98 <= bounds.upper
+        assert [dp_feasible(DIP, t, 4, job_cap) for t in (96, 97, 98)] == [
+            True, False, True,
+        ]
+
+    def test_every_search_certifies_a_feasible_target_below_opt(self):
+        opt = branch_and_bound(DIP).makespan
+        assert opt == 101
+        solver = make_solver("numpy")
+        outcomes = [
+            bisect_target_makespan(DIP, 4, solver, 3),
+            bisect_target_makespan(
+                DIP, 4, solver, 3, ctx=SolveContext(warm_start=True)
+            ),
+            *(speculative_bisect(DIP, 4, solver, g, 3) for g in (1, 2, 3, 4, 5)),
+        ]
+        for outcome in outcomes:
+            assert dp_feasible(DIP, outcome.final_target, 4, 3)
+            assert outcome.final_target <= opt
+        # The dip sends the searches to different, equally valid targets.
+        assert {o.final_target for o in outcomes} == {96, 98}
 
 
 class TestWarmStart:

@@ -291,7 +291,7 @@ class TestBenchDP:
             main(["bench-dp", "--family", "u_10", "-m", "3", "-n", "10"]) == 0
         )
         out = capsys.readouterr().out
-        assert "table" in out and "dominance" in out
+        assert "table" in out and "numpy" in out
 
 
 class TestUnknownEngine:
@@ -521,12 +521,14 @@ class TestWorkersAndMode:
             )
 
     def test_mode_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["solve", "--times", "1,2,3", "--mode", "bogus"]
-            )
+        # ``--mode`` is gone from both ``solve`` and ``submit``.
+        for command in ("solve", "submit"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [command, "--times", "1,2,3", "--mode", "wavefront"]
+                )
 
-    def test_solve_with_auto_workers_and_speculative_mode(self, capsys):
+    def test_solve_with_auto_workers(self, capsys):
         assert (
             main(
                 [
@@ -541,8 +543,6 @@ class TestWorkersAndMode:
                     "serial",
                     "--workers",
                     "auto",
-                    "--mode",
-                    "speculative",
                 ]
             )
             == 0

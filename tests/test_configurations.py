@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from repro.core.configurations import (
     configuration_count_bound,
     enumerate_configurations,
-    enumerate_maximal_configurations,
-    is_maximal,
 )
 
 
@@ -73,37 +71,6 @@ class TestEnumeration:
         a = enumerate_configurations([3, 5], caps=[2, 2], target=10)
         b = enumerate_configurations([3, 5], caps=[2, 2], target=10)
         assert a.configs == b.configs
-
-
-class TestMaximal:
-    def test_is_maximal_basic(self):
-        # sizes (6, 11), caps (2, 3), T=30: (1, 2) has weight 28; adding a
-        # 6 exceeds 30 by 34>30... 28+6=34>30, adding an 11 -> 39>30: maximal.
-        assert is_maximal((1, 2), [6, 11], [2, 3], 30)
-        # (0, 2) can still take a 6 (22+6=28<=30): not maximal.
-        assert not is_maximal((0, 2), [6, 11], [2, 3], 30)
-
-    def test_overweight_is_not_maximal(self):
-        assert not is_maximal((3, 3), [6, 11], [3, 3], 30)
-
-    def test_cap_saturation_counts_as_maximal(self):
-        # All caps reached -> maximal even with spare capacity.
-        assert is_maximal((1, 1), [2, 3], [1, 1], 100)
-
-    def test_maximal_subset_of_full(self):
-        full = enumerate_configurations([6, 11], caps=[2, 3], target=30)
-        maximal = enumerate_maximal_configurations([6, 11], caps=[2, 3], target=30)
-        assert set(maximal.configs) <= set(full.configs)
-        assert len(maximal) < len(full)
-
-    def test_every_config_dominated_by_some_maximal(self):
-        sizes, caps, target = [4, 7], [3, 2], 20
-        full = enumerate_configurations(sizes, caps, target)
-        maximal = enumerate_maximal_configurations(sizes, caps, target)
-        for cfg in full.configs:
-            assert any(
-                all(mc >= c for mc, c in zip(mcfg, cfg)) for mcfg in maximal.configs
-            ), f"{cfg} not covered by any maximal configuration"
 
 
 @given(

@@ -18,7 +18,7 @@ INSTANCE = Instance([7, 7, 6, 6, 5, 4, 4, 3, 9, 2], num_machines=3)
 
 
 def _standard_solver(problem, m):
-    return solve(problem, "dominance", limit=m, track_schedule=True)
+    return solve(problem, "numpy", limit=m, track_schedule=True)
 
 
 class TestSolveContext:

@@ -234,53 +234,3 @@ class TestPtasPoolLifecycle:
             assert reacquired.pool is seen[0].pool
         finally:
             reacquired.close()
-
-
-class TestSubmit:
-    """The pipelining primitive: ``submit`` on every executor flavor."""
-
-    def test_serial_resolves_inline(self):
-        ran = []
-
-        def fn(x):
-            ran.append(x)
-            return x + 1
-
-        future = SerialExecutor(1).submit(fn, 41)
-        assert ran == [41]  # executed eagerly, before result()
-        assert future.result() == 42
-
-    def test_serial_exception_deferred_to_result(self):
-        future = SerialExecutor(1).submit(lambda _: 1 // 0, None)
-        with pytest.raises(ZeroDivisionError):
-            future.result()
-
-    def test_thread_returns_real_future(self):
-        gate = threading.Event()
-
-        def fn(x):
-            gate.wait(timeout=5)
-            return x * 2
-
-        with ThreadExecutor(2) as ex:
-            future = ex.submit(fn, 21)
-            assert not future.done()  # genuinely asynchronous
-            gate.set()
-            assert future.result(timeout=5) == 42
-
-    def test_reusable_delegates(self):
-        ex = make_executor("thread", 2, reuse=True)
-        try:
-            assert ex.submit(lambda x: x + 1, 1).result() == 2
-        finally:
-            ex.close()
-            shutdown_pools()
-
-    def test_released_reusable_rejects_submit(self):
-        ex = make_executor("thread", 2, reuse=True)
-        ex.close()
-        try:
-            with pytest.raises(RuntimeError, match="released"):
-                ex.submit(lambda x: x, 0)
-        finally:
-            shutdown_pools()

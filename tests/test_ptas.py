@@ -62,22 +62,22 @@ class TestSequentialPTAS:
         with pytest.raises(ValueError):
             ptas(Instance([1], 1), eps=0.0)
 
-    @pytest.mark.parametrize("engine", ["table", "memo", "frontier", "numpy"])
+    @pytest.mark.parametrize("engine", ["table", "numpy"])
     def test_engines_equal_makespan(self, small_instance, engine):
         reference = ptas(small_instance, 0.3, engine="table")
         other = ptas(small_instance, 0.3, engine=engine)
         assert other.makespan == reference.makespan
         assert other.final_target == reference.final_target
 
-    def test_dominance_engine_same_target_and_guarantee(self, small_instance):
-        """The dominance engine may pick a different witness (hence a
-        slightly different schedule) but must certify the same target and
-        stay within the guarantee."""
+    def test_config_ilp_engine_same_target_and_guarantee(self, small_instance):
+        """The configuration IP may pick a different witness (hence a
+        different schedule) but must certify the same target and stay
+        within the guarantee."""
         reference = ptas(small_instance, 0.3, engine="table")
-        dom = ptas(small_instance, 0.3, engine="dominance")
-        assert dom.final_target == reference.final_target
+        ilp = ptas(small_instance, 0.3, engine="config-ilp")
+        assert ilp.final_target == reference.final_target
         opt = brute_force(small_instance).makespan
-        assert dom.makespan <= 1.3 * opt
+        assert ilp.makespan <= 1.3 * opt
 
 
 class TestParallelPTAS:
@@ -205,82 +205,6 @@ class TestCheckDeadline:
                 num_workers=2,
                 backend="serial",
                 ctx=SolveContext(check_deadline=check),
-            )
-
-
-class TestBisectionModes:
-    """``parallel_ptas`` mode selection: wavefront / speculative / auto."""
-
-    def test_speculative_same_target_as_sequential(self, small_instance):
-        seq = ptas(small_instance, 0.3, engine="table")
-        spec = parallel_ptas(
-            small_instance, 0.3, num_workers=3, backend="serial",
-            mode="speculative",
-        )
-        assert spec.mode == "speculative"
-        assert spec.final_target == seq.final_target
-        assert spec.makespan <= spec.final_target
-
-    def test_thread_backend_speculative(self, small_instance):
-        seq = ptas(small_instance, 0.3, engine="table")
-        spec = parallel_ptas(
-            small_instance, 0.3, num_workers=2, backend="thread",
-            mode="speculative",
-        )
-        assert spec.final_target == seq.final_target
-
-    def test_wavefront_is_default_mode(self, small_instance):
-        result = parallel_ptas(small_instance, 0.3, num_workers=2, backend="serial")
-        assert result.mode == "wavefront"
-
-    def test_auto_resolves_to_a_concrete_mode(self, small_instance):
-        seq = ptas(small_instance, 0.3, engine="table")
-        result = parallel_ptas(
-            small_instance, 0.3, num_workers=2, backend="serial", mode="auto"
-        )
-        assert result.mode in ("wavefront", "speculative")
-        assert result.final_target == seq.final_target
-
-    def test_auto_on_single_worker_stays_wavefront(self, small_instance):
-        result = parallel_ptas(
-            small_instance, 0.3, num_workers=1, backend="serial", mode="auto"
-        )
-        assert result.mode == "wavefront"
-
-    def test_speculative_guarantee_holds(self, small_instance):
-        spec = parallel_ptas(
-            small_instance, 0.5, num_workers=3, backend="serial",
-            mode="speculative",
-        )
-        opt = brute_force(small_instance).makespan
-        assert spec.makespan <= (1 + 0.5) * opt
-
-    def test_branching_defaults_to_workers(self):
-        from repro.obs import Tracer
-
-        # Wide interval (no warm start) so several rounds actually run.
-        inst = Instance([97, 83, 51, 42, 38, 21, 13, 8, 5, 3], num_machines=3)
-        tracer = Tracer()
-        parallel_ptas(
-            inst, 0.3, num_workers=3, backend="serial", mode="speculative",
-            ctx=SolveContext(tracer=tracer, warm_start=False),
-        )
-        rounds = tracer.find("spec_round")
-        assert rounds
-        assert all(s.attrs["probes"] <= 3 for s in rounds)
-
-    def test_rejects_unknown_mode(self, small_instance):
-        with pytest.raises(ValueError, match="mode"):
-            parallel_ptas(
-                small_instance, 0.3, num_workers=2, backend="serial",
-                mode="pessimistic",
-            )
-
-    def test_speculative_rejects_non_executor_backend(self, small_instance):
-        with pytest.raises(ValueError, match="simulate_speculative_ptas"):
-            parallel_ptas(
-                small_instance, 0.3, num_workers=2, backend="simulated",
-                mode="speculative",
             )
 
 

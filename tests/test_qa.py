@@ -101,17 +101,17 @@ BUGGY_SPEC = EngineSpec(
 )
 
 
-def _dominance_ptas_solve(instance, request, ctx):
-    """The ``ptas`` adapter as it was before the kernel served it: the
-    dominance DP, which certifies the same target but reconstructs its
-    own witness."""
+def _config_ilp_ptas_solve(instance, request, ctx):
+    """A ``ptas`` adapter served by the configuration IP, which
+    certifies the same target as the kernel but reconstructs its own
+    witness."""
     from repro.core.ptas import ptas
 
-    return ptas(instance, request.eps, engine="dominance", ctx=ctx).schedule
+    return ptas(instance, request.eps, engine="config-ilp", ctx=ctx).schedule
 
 
-DOMINANCE_PTAS_SPEC = dataclasses.replace(
-    get_engine("ptas"), solve=_dominance_ptas_solve
+CONFIG_ILP_PTAS_SPEC = dataclasses.replace(
+    get_engine("ptas"), solve=_config_ilp_ptas_solve
 )
 
 
@@ -243,18 +243,18 @@ class TestOracles:
         inst = Instance(times, machines)
         assert fidelity_violations(_registry_engines("p_cmax"), inst, 0.3) == []
 
-    def test_fidelity_catches_the_dominance_witness(self):
-        # Same certified target, another witness: makespan 14 where the
-        # table engine reconstructs 15.
-        inst = Instance([7, 7, 6, 6, 5, 4, 4, 3], 3)
-        violations = fidelity_violations([("ptas", DOMINANCE_PTAS_SPEC)], inst, 0.3)
+    def test_fidelity_catches_the_config_ilp_witness(self):
+        # Same certified target (17), another witness: makespan 18 where
+        # the table engine reconstructs 17.
+        inst = Instance([9, 8, 7, 6, 5, 5, 4, 3, 2, 1], 3)
+        violations = fidelity_violations([("ptas", CONFIG_ILP_PTAS_SPEC)], inst, 0.3)
         assert [(v.oracle, v.check, v.engine) for v in violations] == [
             ("fidelity", "assignment", "ptas")
         ]
 
     def test_fidelity_skips_q_cmax(self):
         inst = QInstance([9, 8, 7, 6, 5], (2, 1, 1))
-        engines = [("ptas", DOMINANCE_PTAS_SPEC)]
+        engines = [("ptas", CONFIG_ILP_PTAS_SPEC)]
         assert fidelity_violations(engines, inst, 0.3) == []
 
 
@@ -302,10 +302,10 @@ class TestFuzzer:
                 "buggy_bnb" in line for line in record["violations"]
             )
 
-    def test_fuzzer_catches_a_dominance_served_ptas(self, tmp_path, monkeypatch):
+    def test_fuzzer_catches_a_config_ilp_served_ptas(self, tmp_path, monkeypatch):
         from repro.service import registry
 
-        monkeypatch.setitem(registry._REGISTRY, "ptas", DOMINANCE_PTAS_SPEC)
+        monkeypatch.setitem(registry._REGISTRY, "ptas", CONFIG_ILP_PTAS_SPEC)
         config = FuzzConfig(
             seed=0,
             budget=40,

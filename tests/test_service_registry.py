@@ -100,43 +100,16 @@ class TestSolveAdapters:
             get_engine("parallel_ptas").solve(req.instance(), req, None)
 
 
-class TestBisectionModes:
-    def request(self, **kwargs) -> SolveRequest:
-        kwargs.setdefault("workers", 3)
-        return SolveRequest(
+class TestWorkers:
+    def test_auto_workers_resolve_server_side(self):
+        request = SolveRequest(
             times=(9, 8, 7, 6, 5, 5, 4, 3, 2, 1),
             machines=3,
             engine="parallel_ptas",
             backend="serial",
-            **kwargs,
+            workers="auto",
         )
-
-    def test_speculative_mode_solves(self):
-        request = self.request(mode="speculative")
-        result = solve_to_result(request)
-        assert result.ok
-        report = verify_schedule(result.schedule(request.instance()))
-        assert report.ok, report.violations
-
-    def test_speculative_matches_wavefront_guarantee(self):
-        wavefront = solve_to_result(self.request(mode="wavefront"))
-        speculative = solve_to_result(self.request(mode="speculative"))
-        assert wavefront.guarantee == speculative.guarantee
-        # Both certify a (1 + eps)-feasible schedule for the same target
-        # family; makespans may differ only within the guarantee.
-        assert speculative.makespan <= wavefront.guarantee * wavefront.makespan
-
-    def test_auto_mode_solves(self):
-        result = solve_to_result(self.request(mode="auto"))
-        assert result.ok
-
-    def test_auto_workers_resolve_server_side(self):
-        result = solve_to_result(self.request(mode="wavefront", workers="auto"))
-        assert result.ok
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(UnknownEngineError, match="mode"):
-            solve_to_result(self.request(mode="bogus"))
+        assert solve_to_result(request).ok
 
 
 class TestProblemVariants:

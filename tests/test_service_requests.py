@@ -246,7 +246,7 @@ class TestWireEncodingPinned:
             ),
             SolveRequest(
                 times=(9, 1), machines=2, protocol=1, engine="parallel_ptas",
-                eps=0.1, backend="numpy-serial", mode="speculative",
+                eps=0.1, backend="numpy-serial",
             ),
         ],
         ids=["p_cmax", "q_cmax_speeds", "v1"],
@@ -274,15 +274,20 @@ class TestWorkersAndMode:
         assert req.workers == "auto"
 
     def test_auto_workers_round_trips(self):
-        req = SolveRequest(
-            times=(3, 2, 1), machines=2, workers="auto", mode="speculative"
-        )
+        req = SolveRequest(times=(3, 2, 1), machines=2, workers="auto")
         back = SolveRequest.from_json(req.to_json())
         assert back.workers == "auto"
-        assert back.mode == "speculative"
 
-    def test_mode_defaults_to_wavefront(self):
-        assert SolveRequest(times=(1,), machines=1).mode == "wavefront"
+    def test_mode_field_is_rejected(self):
+        # The bisection-mode selector is gone: one bisection serves every
+        # answer, so no request may carry it.
+        line = '{"times": [3, 2, 1], "machines": 2, "mode": "wavefront"}'
+        with pytest.raises(ValueError, match="mode"):
+            SolveRequest.from_dict({"times": [3, 2, 1], "machines": 2, "mode": "auto"})
+        with pytest.raises(ValueError, match="mode"):
+            SolveRequest.from_json(line)
+        with pytest.raises(TypeError):
+            SolveRequest(times=(3, 2, 1), machines=2, mode="wavefront")
 
     def test_rejects_non_auto_worker_strings(self):
         with pytest.raises(ValueError, match="auto"):

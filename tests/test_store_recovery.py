@@ -129,6 +129,44 @@ class TestRecoverUnit:
             map(sorted, table.schedule.assignment)
         )
 
+    def test_mode_journal_entry_replays_with_the_wavefront_search(self, tmp_path):
+        # A crash journal of the release before ``mode`` left requests:
+        # no ``dp_engine``, but every begin record carries ``mode``.
+        # Under ``mode="speculative"`` this request was answered with
+        # makespan 106; the one bisection answers 101 (= OPT).
+        journaled = {
+            "times": [22, 1, 19, 73, 6, 57, 17, 44, 2, 93, 62, 86, 85],
+            "machines": 6, "problem": "p_cmax", "speeds": [], "protocol": 2,
+            "engine": "parallel_ptas", "eps": 0.3, "deadline": None,
+            "workers": 2, "backend": "serial", "mode": "speculative",
+            "time_limit": None, "request_id": "spec-1",
+        }
+        (tmp_path / JOURNAL_NAME).write_text(
+            encode_record(
+                "begin", {"id": "00000001-0123456789ab", "request": journaled}
+            )
+            + "\n"
+        )
+        store = ResultStore(tmp_path)
+        journal = WriteAheadJournal(tmp_path)
+        [entry] = journal.uncommitted()
+        assert entry.request.workers == 2
+        report = recover(store, journal)
+        assert report.ok and report.replayed == 1
+        stored = store.get(canonical_key(entry.request))
+        journal.close()
+        store.close()
+        from repro.core.ptas import parallel_ptas
+
+        wavefront = parallel_ptas(
+            entry.request.instance(), 0.3, 2, backend="serial"
+        )
+        assert stored.makespan == wavefront.makespan == 101
+        served = localize_result(entry.request, stored)
+        assert sorted(map(sorted, served.assignment)) == sorted(
+            map(sorted, wavefront.schedule.assignment)
+        )
+
     def test_already_stored_entry_is_committed_without_solving(self, tmp_path):
         request = _req([4, 4, 2], engine="lpt")
         key = canonical_key(request)
