@@ -442,7 +442,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             journal = WriteAheadJournal(args.store)
         service = SolveService(
             max_workers=resolve_workers(args.workers),
-            batch_window=args.batch_window,
             default_deadline=args.default_deadline,
             cache=ResultCache(
                 max_entries=args.cache_size, ttl=args.cache_ttl, store=store
@@ -849,12 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the sharded multi-process solver pool with N worker "
         "processes ('auto' = usable CPUs; 0, the default, keeps the "
         "single-process service) — see docs/scaling.md",
-    )
-    srv.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.005,
-        help="seconds to gather compatible small requests into one batch",
     )
     srv.add_argument("--queue-depth", type=int, default=64)
     srv.add_argument("--cache-size", type=int, default=1024)

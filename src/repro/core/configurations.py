@@ -100,21 +100,21 @@ def _enumerate_cached(
     target: int,
     max_jobs: int | None,
 ) -> tuple[tuple[int, ...], ...]:
-    return tuple(_enumerate(class_sizes, caps, target, max_jobs))
+    configs = _enumerate(class_sizes, caps, target, max_jobs)
+    return tuple(cfg for cfg in configs if any(cfg))
 
 
 def enumerate_configurations(
     class_sizes: Sequence[int],
     caps: Sequence[int],
     target: int,
-    include_zero: bool = False,
     max_jobs: int | None = None,
 ) -> ConfigurationSet:
-    """All configurations ``0 <= s <= caps`` with weight ``<= target``.
+    """All non-zero configurations ``0 <= s <= caps`` with weight
+    ``<= target``.
 
     The zero configuration means "assign nothing to this machine"; the DP
-    recurrence excludes it (Alg. 3, line 17 note), so it is dropped unless
-    ``include_zero`` is set.
+    recurrence excludes it (Alg. 3, line 17 note), so it is dropped.
 
     ``max_jobs`` caps the *total* job count of a configuration.  The paper
     (Eq. 3) constrains weight only, but with integer rounding a long job
@@ -146,8 +146,6 @@ def enumerate_configurations(
     if max_jobs is not None and max_jobs < 0:
         raise ValueError(f"max_jobs must be non-negative, got {max_jobs}")
     all_configs = _enumerate_cached(sizes, caps_t, int(target), max_jobs)
-    if not include_zero:
-        all_configs = tuple(cfg for cfg in all_configs if any(cfg))
     weights = tuple(
         sum(count * size for count, size in zip(cfg, sizes)) for cfg in all_configs
     )

@@ -155,20 +155,10 @@ class DPResult:
     engine: str = ""
     stats: DPStats | None = None
 
-    @property
-    def feasible_within(self) -> bool:
-        return self.opt is not None
-
 
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-def level_of(vector: Sequence[int]) -> int:
-    """Anti-diagonal index of a state: the sum of its components (the
-    quantity Alg. 3 calls ``d_i``)."""
-    return sum(vector)
-
 
 def unrank(flat: int, dims: Sequence[int], strides: Sequence[int]) -> tuple[int, ...]:
     """Inverse of row-major flattening: recover the count vector of a flat

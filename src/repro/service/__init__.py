@@ -14,8 +14,8 @@ The subsystem turns the one-shot solvers into an asyncio service:
 * :mod:`repro.service.metrics` — counters / gauges / histograms plus the
   DP configuration-cache statistics.
 * :mod:`repro.service.server` — the asyncio JSON-lines front-end with
-  micro-batching, executor dispatch, and deadline-triggered degradation
-  to LPT.
+  one executor call per admitted request and deadline-triggered
+  degradation to LPT.
 * :mod:`repro.service.sharding` — canonical-key shard routing for the
   multi-process pool.
 * :mod:`repro.service.worker` / :mod:`repro.service.supervisor` — the

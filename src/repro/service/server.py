@@ -5,8 +5,8 @@ Architecture (see ``docs/service.md`` for the full reference)::
     client ──JSON line──▶ connection handler ──▶ SolveService.handle
                                                    │ 1. result cache
                                                    │ 2. admission gate
-                                                   │ 3. micro-batcher (small)
-                                                   │    or direct dispatch
+                                                   │ 3. dispatch: one
+                                                   │    executor call per job
                                                    ▼
                                         ThreadPoolExecutor workers
                                           └─ registry engines; parallel
@@ -16,11 +16,11 @@ Architecture (see ``docs/service.md`` for the full reference)::
                                              repro.parallel.executor
 
 Requests are solved off the event loop via ``run_in_executor``; the
-event loop only parses, batches, and enforces deadlines.  *Compatible*
-small requests (same engine and ``eps``, at most ``batch_max_jobs``
-jobs) queued within ``batch_window`` seconds are shipped to one worker
-as a single batch, amortizing executor round-trips under high request
-rates; heavy solves dispatch individually.
+event loop only parses, admits, and enforces deadlines.  Each admitted
+request starts on a worker thread as soon as one is free: a cold PTAS
+solve costs about half a millisecond, so holding it back to wait for
+companions would cost more than it could save.  An engine that raises
+answers ``status="error"`` instead of leaving the client without a reply.
 
 Graceful degradation: a request with a ``deadline`` gets a deadline hook
 threaded into the PTAS bisection through its per-request
@@ -56,8 +56,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.model.instance import Instance
-from repro.model.qinstance import QInstance
 from repro.service.admission import AdmissionController
 from repro.service.cache import CacheKey, ResultCache, canonical_key
 from repro.service.metrics import (
@@ -83,7 +81,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 from repro.online.session import SessionManager
 from repro.service.requests import (
     STATUS_ERROR,
-    STATUS_OK,
     STATUS_REJECTED,
     DeadlineExceeded,
     SolveRequest,
@@ -98,26 +95,16 @@ DEFAULT_PORT = 8357
 
 @dataclass
 class _Job:
-    """One admitted request travelling through the dispatch machinery."""
+    """One admitted request on its way to a worker thread."""
 
     request: SolveRequest
     spec: EngineSpec
-    instance: Instance | QInstance
     deadline_at: float | None
     admitted_at: float
-    future: "asyncio.Future[SolveResult]"
-
-    @property
-    def batch_key(self) -> tuple[str, str, float]:
-        return (
-            self.request.problem,
-            canonical_engine_name(self.request.engine),
-            self.request.eps,
-        )
 
 
 class SolveService:
-    """Request orchestrator: cache → admission → batch/dispatch → degrade.
+    """Request orchestrator: cache → admission → dispatch → degrade.
 
     The service is transport-agnostic — :meth:`handle` takes a
     :class:`SolveRequest` and returns a :class:`SolveResult`; the
@@ -132,9 +119,6 @@ class SolveService:
         admission: AdmissionController | None = None,
         metrics: MetricsRegistry | None = None,
         max_workers: int = 4,
-        batch_window: float = 0.005,
-        batch_max_size: int = 16,
-        batch_max_jobs: int = 64,
         default_deadline: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         store: "ResultStore | None" = None,
@@ -143,10 +127,6 @@ class SolveService:
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
-        if batch_max_size < 1:
-            raise ValueError("batch_max_size must be >= 1")
         self.cache = cache if cache is not None else ResultCache()
         self.store = store
         self.journal = journal
@@ -158,17 +138,11 @@ class SolveService:
         self.admission = admission if admission is not None else AdmissionController()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_workers = max_workers
-        self.batch_window = batch_window
-        self.batch_max_size = batch_max_size
-        self.batch_max_jobs = batch_max_jobs
         self.default_deadline = default_deadline
         self._clock = clock
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-solve"
         )
-        self._batch_queue: asyncio.Queue[_Job] | None = None
-        self._batcher: asyncio.Task[None] | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown_event: asyncio.Event | None = None
         self._busy_workers = 0
         self._inflight: dict[CacheKey, asyncio.Future[None]] = {}
@@ -260,7 +234,6 @@ class SolveService:
     async def _admit_and_solve(
         self, request: SolveRequest, t0: float
     ) -> SolveResult:
-        instance = request.instance()
         spec = get_engine(request.engine, problem=request.problem)
         decision = self.admission.try_admit(request)
         if not decision.admitted:
@@ -280,122 +253,69 @@ class SolveService:
         job = _Job(
             request=request,
             spec=spec,
-            instance=instance,
             deadline_at=deadline_at,
             admitted_at=self._clock(),
-            future=asyncio.get_running_loop().create_future(),
         )
         # Write-ahead: an admitted request is journaled before its solve
         # starts, and marked committed only after a response exists and
         # any cacheable answer has reached the store — so a crash at any
         # point in between is replayed on restart (docs/persistence.md).
+        # A solve that raised is aborted instead: replaying it would
+        # only raise again.
         entry = self.journal.begin(request) if self.journal is not None else None
         try:
-            if self._is_batchable(job):
-                await self._enqueue_batch(job)
-            else:
-                self._dispatch([job])
-            result = await self._await_with_deadline(job)
+            result = await self._await_with_deadline(job, self._dispatch(job))
         finally:
             self.admission.release(decision)
         if result.ok and not result.degraded:
             self.cache.put(request, result)
         if entry is not None:
-            self.journal.commit(entry)
+            if result.status == STATUS_ERROR:
+                self.journal.abort(entry)
+            else:
+                self.journal.commit(entry)
         self.metrics.histogram("request_latency_seconds").observe(self._clock() - t0)
         return result
 
-    def _is_batchable(self, job: _Job) -> bool:
-        """Small, cancellable-or-instant work rides the micro-batcher;
-        exact engines and big instances get a worker to themselves."""
-        return (
-            self.batch_window > 0
-            and not job.spec.exact
-            and job.request.num_jobs <= self.batch_max_jobs
-        )
-
-    async def _await_with_deadline(self, job: _Job) -> SolveResult:
+    async def _await_with_deadline(
+        self, job: _Job, future: "asyncio.Future[SolveResult]"
+    ) -> SolveResult:
         """Wait for the job; degrade from the event loop if a deadline
         passes on an engine that cannot cancel itself (its worker thread
-        is abandoned — it still occupies a slot until it finishes)."""
+        is abandoned — it still occupies a slot until it finishes).
+
+        The wait is shielded: a request cancelled while it waits (its
+        client hung up) leaves the solve to finish, so the worker is
+        released when its thread is, not before.
+        """
         if job.deadline_at is None or job.spec.supports_deadline:
-            return await job.future
+            return await asyncio.shield(future)
         remaining = max(0.0, job.deadline_at - self._clock())
         try:
-            return await asyncio.wait_for(asyncio.shield(job.future), remaining)
+            return await asyncio.wait_for(asyncio.shield(future), remaining)
         except asyncio.TimeoutError:
             self.metrics.counter("solves_abandoned").inc()
-            job.future.add_done_callback(lambda f: f.exception())  # reap quietly
+            future.add_done_callback(lambda f: f.exception())  # reap quietly
             return self._degrade(job)
 
-    # ------------------------------------------------------------------
-    # Batching and dispatch
-    # ------------------------------------------------------------------
-    async def _enqueue_batch(self, job: _Job) -> None:
-        loop = asyncio.get_running_loop()
-        if self._batch_queue is None or self._loop is not loop:
-            # First use on this event loop (or the loop changed between
-            # asyncio.run() invocations in tests): fresh queue + batcher.
-            self._loop = loop
-            self._batch_queue = asyncio.Queue()
-            self._batcher = loop.create_task(self._batch_loop())
-        await self._batch_queue.put(job)
+    def _dispatch(self, job: _Job) -> "asyncio.Future[SolveResult]":
+        """Start *job* on a worker thread: one executor call per job.
 
-    async def _batch_loop(self) -> None:
-        """Collect compatible jobs for up to ``batch_window`` seconds,
-        then dispatch each compatibility group as one executor call."""
-        assert self._batch_queue is not None
-        while True:
-            batch = [await self._batch_queue.get()]
-            horizon = self._clock() + self.batch_window
-            while len(batch) < self.batch_max_size:
-                timeout = horizon - self._clock()
-                if timeout <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._batch_queue.get(), timeout)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            groups: dict[tuple[str, str, float], list[_Job]] = {}
-            for job in batch:
-                groups.setdefault(job.batch_key, []).append(job)
-            self.metrics.counter("batches_total").inc(len(groups))
-            self.metrics.histogram("batch_size").observe(len(batch))
-            for group in groups.values():
-                self._dispatch(group)
-
-    def _dispatch(self, jobs: list[_Job]) -> None:
-        """Ship a group of jobs to one worker thread."""
-        loop = asyncio.get_running_loop()
+        ``batch_size`` observes 1 per call; it stays in ``op=stats`` for
+        the consumers that read it.
+        """
         self._busy_workers += 1
         self.metrics.gauge("executor_busy").set(self._busy_workers)
+        self.metrics.histogram("batch_size").observe(1)
+        future = asyncio.get_running_loop().run_in_executor(
+            self._executor, self._solve_one, job
+        )
+        future.add_done_callback(self._release_worker)
+        return future
 
-        def run() -> list[SolveResult]:
-            return [self._solve_one(job) for job in jobs]
-
-        def done(fut: "asyncio.Future[list[SolveResult]]") -> None:
-            self._busy_workers -= 1
-            self.metrics.gauge("executor_busy").set(self._busy_workers)
-            if fut.cancelled():
-                for job in jobs:
-                    if not job.future.done():
-                        job.future.cancel()
-                return
-            exc = fut.exception()
-            for job, result in zip(
-                jobs, fut.result() if exc is None else [None] * len(jobs)
-            ):
-                if job.future.done():
-                    continue
-                if exc is not None:
-                    job.future.set_exception(exc)
-                else:
-                    job.future.set_result(result)
-
-        task = loop.run_in_executor(self._executor, run)
-        task.add_done_callback(done)
+    def _release_worker(self, _future: "asyncio.Future[SolveResult]") -> None:
+        self._busy_workers -= 1
+        self.metrics.gauge("executor_busy").set(self._busy_workers)
 
     # ------------------------------------------------------------------
     # Worker-side solve (runs in an executor thread)
@@ -424,13 +344,13 @@ class SolveService:
         except DeadlineExceeded:
             publish_phase_summary(tracer, self.metrics)
             return self._degrade(job)
-        except UnknownEngineError as exc:
-            self.metrics.counter("requests_invalid").inc()
+        except Exception as exc:  # noqa: BLE001 - every request gets a reply
+            self.metrics.counter("errors_total").inc()
             return SolveResult(
                 request_id=request.request_id,
                 status=STATUS_ERROR,
-                engine=request.engine,
-                error=str(exc),
+                engine=canonical_engine_name(request.engine),
+                error=f"{type(exc).__name__}: {exc}",
             )
         publish_phase_summary(tracer, self.metrics)
         self._archive_trace(request, tracer)
@@ -492,17 +412,8 @@ class SolveService:
             self._shutdown_event.set()
 
     async def aclose(self) -> None:
-        """Stop the batcher, release the worker pool, and flush the
-        persistence layer — a clean exit leaves the journal empty and
-        every segment closed."""
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except (asyncio.CancelledError, RuntimeError):
-                pass
-            self._batcher = None
-            self._batch_queue = None
+        """Release the worker pool and flush the persistence layer — a
+        clean exit leaves the journal empty and every segment closed."""
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.journal is not None:
             self.journal.close()

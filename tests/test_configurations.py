@@ -28,10 +28,6 @@ class TestEnumeration:
             (2, 1),
         }
 
-    def test_include_zero(self):
-        cs = enumerate_configurations([5], caps=[1], target=10, include_zero=True)
-        assert (0,) in cs.configs
-
     def test_zero_excluded_by_default(self):
         cs = enumerate_configurations([5], caps=[1], target=10)
         assert (0,) not in cs.configs
@@ -84,11 +80,11 @@ def test_property_enumeration_complete_and_sound(sizes, caps, target):
     the whole count box."""
     d = min(len(sizes), len(caps))
     sizes, caps = sizes[:d], caps[:d]
-    cs = enumerate_configurations(sizes, caps, target, include_zero=True)
+    cs = enumerate_configurations(sizes, caps, target)
     expected = {
         combo
         for combo in itertools.product(*(range(c + 1) for c in caps))
-        if sum(s * x for s, x in zip(sizes, combo)) <= target
+        if any(combo) and sum(s * x for s, x in zip(sizes, combo)) <= target
     }
     assert set(cs.configs) == expected
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.core.dp import (
     DPProblem,
     SEQUENTIAL_ENGINES,
-    level_of,
     solve,
     solve_numpy,
     solve_table,
@@ -71,10 +70,6 @@ class TestDPProblem:
         for flat in range(p.table_size):
             v = unrank(flat, p.dims, strides)
             assert sum(c * s for c, s in zip(v, strides)) == flat
-
-    def test_level_of(self):
-        assert level_of((2, 3)) == 5
-        assert level_of(()) == 0
 
 
 class TestPaperExample:
@@ -134,7 +129,6 @@ class TestEdgeCases:
         p = DPProblem((7,), (4,), 10)  # OPT = 4
         result = solve(p, engine, limit=3)
         assert result.opt is None
-        assert not result.feasible_within
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_limit_exactly_met(self, engine):

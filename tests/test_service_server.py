@@ -45,7 +45,7 @@ def _req(times, machines=3, engine="lpt", **kwargs) -> SolveRequest:
 class TestHandle:
     def test_solves_and_reports_guarantee(self):
         async def scenario():
-            svc = SolveService(max_workers=2, batch_window=0.0)
+            svc = SolveService(max_workers=2)
             try:
                 res = await svc.handle(
                     _req([7, 7, 6, 6, 5, 4, 4, 3], engine="ptas", request_id="x")
@@ -63,7 +63,7 @@ class TestHandle:
 
     def test_unknown_engine_is_clean_error(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 return await svc.handle(_req([1, 2, 3], engine="nope"))
             finally:
@@ -75,7 +75,7 @@ class TestHandle:
 
     def test_invalid_instance_is_clean_error(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 return await svc.handle(
                     SolveRequest(times=(), machines=2, engine="lpt")
@@ -88,7 +88,7 @@ class TestHandle:
 
     def test_repeat_request_served_from_cache(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 first = await svc.handle(_req([5, 4, 3, 2, 1], engine="ptas"))
                 second = await svc.handle(_req([5, 4, 3, 2, 1], engine="ptas"))
@@ -104,7 +104,7 @@ class TestHandle:
 
     def test_q_cmax_request_end_to_end(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 res = await svc.handle(
                     SolveRequest(
@@ -134,7 +134,7 @@ class TestHandle:
 
     def test_q_unsupported_engine_pair_is_clean_error(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 return await svc.handle(
                     SolveRequest(
@@ -155,7 +155,7 @@ class TestHandle:
 
     def test_deadline_degrades_to_lpt(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 return await svc.handle(
                     _req(
@@ -179,7 +179,7 @@ class TestHandle:
 
     def test_degraded_results_are_not_cached(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 await svc.handle(
                     _req(range(1, 80), engine="ptas", eps=0.1, deadline=0.0)
@@ -193,7 +193,7 @@ class TestHandle:
 
     def test_non_cancellable_engine_degrades_from_event_loop(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 return await svc.handle(
                     _req([9, 8, 7, 6, 5, 4], engine="bnb", deadline=0.0)
@@ -209,7 +209,7 @@ class TestHandle:
             gate = AdmissionController(max_queue_depth=1)
             # Occupy the only slot so the real request is shed.
             gate.try_admit(_req([1, 2, 3]))
-            svc = SolveService(admission=gate, batch_window=0.0)
+            svc = SolveService(admission=gate)
             try:
                 return await svc.handle(_req([4, 5, 6]))
             finally:
@@ -220,28 +220,29 @@ class TestHandle:
         assert res.retry_after > 0
         assert "queue full" in res.error
 
-    def test_batching_groups_compatible_small_requests(self):
+    def test_lone_requests_start_without_waiting(self):
+        """With the defaults, a lone cold request goes to a worker thread
+        at once: no window holds it back waiting for companions."""
+
         async def scenario():
-            svc = SolveService(max_workers=2, batch_window=0.05, batch_max_size=8)
+            svc = SolveService()
             try:
-                reqs = [
-                    _req([i + 1, 2 * i + 1, 5, 7], engine="lpt", request_id=str(i))
-                    for i in range(6)
-                ]
-                results = await asyncio.gather(*(svc.handle(r) for r in reqs))
+                for i in range(10):
+                    res = await svc.handle(_req([i + 1, 2 * i + 3, 5, 7]))
+                    assert res.ok and not res.cached
+                return svc.stats()
             finally:
                 await _closed(svc)
-            return results, svc.metrics.snapshot()
 
-        results, snap = run(scenario())
-        assert all(r.ok for r in results)
-        assert {r.request_id for r in results} == {str(i) for i in range(6)}
-        assert snap["counters"]["batches_total"] >= 1
-        assert snap["histograms"]["batch_size"]["max"] >= 2
+        snap = run(scenario())
+        waits = snap["histograms"]["queue_wait_seconds"]
+        assert waits["count"] == 10
+        assert waits["p50"] < 0.005
+        assert snap["histograms"]["batch_size"]["max"] == 1
 
     def test_stats_exposes_every_subsystem(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 await svc.handle(_req([3, 1, 2], engine="ptas"))
                 return svc.stats()
@@ -261,7 +262,7 @@ class TestHandle:
         breakdown lands in the metrics snapshot (``op=stats``)."""
 
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             try:
                 await svc.handle(_req([7, 7, 6, 6, 5, 4, 4, 3], engine="ptas"))
                 return svc.stats()
@@ -278,7 +279,7 @@ class TestHandle:
 class TestProtocol:
     def test_ping_stats_malformed_and_shutdown(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             server = await start_server(svc, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             pong = await send_op("127.0.0.1", port, "ping")
@@ -307,6 +308,47 @@ class TestProtocol:
         assert stats["op"] == "stats" and "counters" in stats["stats"]
         assert bye == {"op": "bye"}
         assert svc._shutdown_event.is_set()
+
+
+    def test_engine_error_is_answered_and_aborted(self, tmp_path):
+        """An engine that raises answers ``status="error"`` on the wire,
+        the connection keeps serving, and the request's journal entry is
+        aborted rather than left pending for a restart to replay."""
+        from repro.store import ResultStore, WriteAheadJournal
+
+        async def scenario():
+            journal = WriteAheadJournal(tmp_path)
+            svc = SolveService(store=ResultStore(tmp_path), journal=journal)
+            server = await start_server(svc, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def ask(payload: dict) -> SolveResult:
+                writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), 5.0)
+                return SolveResult.from_json(line.decode())
+
+            try:
+                # brute force refuses more than 18 jobs by raising.
+                failed = await ask(
+                    {"times": [1] * 19, "machines": 2, "engine": "brute"}
+                )
+                served = await ask({"times": [4, 3, 2], "machines": 2})
+                return failed, served, journal.stats(), svc.stats()
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await _closed(svc, server)
+
+        failed, served, journal_stats, stats = run(scenario())
+        assert failed.status == "error"
+        assert failed.error.startswith("ValueError: brute force limited")
+        assert served.ok
+        assert journal_stats["uncommitted"] == 0
+        assert journal_stats["aborts"] == 1
+        assert journal_stats["commits"] == 1
+        assert stats["counters"]["errors_total"] == 1
 
 
 class TestEndToEnd:
@@ -342,7 +384,7 @@ class TestEndToEnd:
                     request_id=f"par-{i}",
                 )
             )
-        # 3) Cheap baseline traffic (rides the micro-batcher).
+        # 3) Cheap baseline traffic.
         for i, engine in enumerate(
             ["lpt"] * 10 + ["ls"] * 6 + ["multifit"] * 6
         ):
@@ -350,7 +392,7 @@ class TestEndToEnd:
             requests.append(
                 _req(times, machines=4, engine=engine, request_id=f"{engine}-{i}")
             )
-        # 4) A little exact traffic (dispatched unbatched).
+        # 4) A little exact traffic.
         for i in range(3):
             times = [rng.randint(1, 9) for _ in range(7)]
             requests.append(
@@ -375,7 +417,6 @@ class TestEndToEnd:
         async def scenario():
             svc = SolveService(
                 max_workers=4,
-                batch_window=0.005,
                 cache=ResultCache(max_entries=256),
                 admission=AdmissionController(
                     max_queue_depth=len(requests) + 8, max_inflight_ops=1e18

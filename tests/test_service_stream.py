@@ -289,7 +289,7 @@ class TestSessionManager:
 class TestServerStream:
     def test_streamed_session_over_sockets(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             server = await start_server(svc, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
@@ -327,7 +327,7 @@ class TestServerStream:
 
     def test_malformed_stream_request_is_clean_error(self):
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             server = await start_server(svc, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
@@ -353,7 +353,7 @@ class TestServerStream:
         # ValueError-only guard (e.g. jobs=42 makes from_dict iterate an
         # int) must come back as error results on a live connection.
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
             server = await start_server(svc, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
@@ -394,7 +394,7 @@ class TestServerStream:
         # A failure inside handle_stream itself (past parsing) must be
         # reported on the open connection, not tear it down.
         async def scenario():
-            svc = SolveService(batch_window=0.0)
+            svc = SolveService()
 
             async def explode(request):
                 raise RuntimeError("kaboom")

@@ -422,9 +422,7 @@ class TestServiceIntegration:
 
         async def scenario():
             store = ResultStore(tmp_path)
-            svc = SolveService(
-                batch_window=0.0, store=store, archive_traces=True
-            )
+            svc = SolveService(store=store, archive_traces=True)
             try:
                 result = await svc.handle(
                     _req([7, 6, 5, 4, 3], engine="ptas", request_id="t-1")
