@@ -11,18 +11,20 @@ pattern real traffic produces — against two server configurations, each
 launched as a real ``repro-pcmax serve`` subprocess and driven over TCP
 with a fixed client concurrency:
 
-* ``single`` — the one-process :class:`repro.service.SolveService`
-  (solves share the supervisor's GIL);
-* ``pool`` — ``--pool-workers auto`` (:mod:`repro.service.supervisor`),
-  N = :func:`repro.parallel.cpus.usable_cpus` worker processes sharded
-  by the canonical instance key.
+* ``single`` — :class:`repro.service.SolveService` on its in-process
+  lane (solves share the front end's GIL);
+* ``pool`` — the same front end over ``--pool-workers N``
+  (:mod:`repro.service.supervisor`), N =
+  :func:`repro.parallel.cpus.usable_cpus` worker processes sharded by
+  the canonical instance key.
 
 Every returned schedule is re-verified with
 :func:`repro.model.verify.verify_schedule`; a single unverifiable or
 failed response fails the benchmark.  Requests/sec plus p50/p99 latency
-land under the ``"service_throughput"`` section of ``BENCH_dp.json``
-(one run per ``(mode, workers)`` configuration, fingerprint-stamped via
-:mod:`repro.io.benchjson`).
+land under the ``"service_throughput"`` section of ``BENCH_dp.json``:
+each record replaces the section's runs with this host's two, stamped
+with the workload fingerprint via :mod:`repro.io.benchjson`, so the
+runs and the ``gate`` block always describe the same host.
 
 Gate: pooled throughput must be ≥ 2x the single-process run — **armed
 only when the host has ≥ 4 usable CPUs**.  On smaller hosts (this
@@ -32,9 +34,10 @@ vacuous failure, exactly like the wavefront kernel's measured gate.
 
 ``--check-baseline`` is the CI tripwire and re-measures nothing (wall
 clock in shared CI is noise): it checks the recorded section is present,
-matches the current workload fingerprint, contains both configurations
-fully verified, and — when the recording host had the gate armed — that
-the recorded speedup met the floor.
+matches the current workload fingerprint, holds exactly one run per mode
+(the pool's with ``gate.pool_workers`` workers), both fully verified,
+and — when the recording host had the gate armed — that the recorded
+speedup met the floor.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.io.benchjson import instance_fingerprint, load_bench, merge_runs, update_section
+from repro.io.benchjson import instance_fingerprint, load_bench, stamp_runs, update_section
 from repro.model.schedule import Schedule
 from repro.model.verify import verify_schedule
 from repro.parallel.cpus import usable_cpus
@@ -77,7 +80,6 @@ MIN_SPEEDUP = 2.0
 GATE_MIN_CPUS = 4
 SECTION = "service_throughput"
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dp.json"
-RUN_KEY = ("mode", "workers")
 REPO_ROOT = OUTPUT.parent
 
 
@@ -247,14 +249,11 @@ def main() -> int:
         skip_reason = f"{cpus} usable CPU(s) < {GATE_MIN_CPUS}"
         print(f"measured gate skipped ({cpus} usable cpus)")
 
-    previous = load_bench(OUTPUT).get(SECTION, {})
     payload = {
         "benchmark": "service throughput (requests/sec), single vs pool",
         "fingerprint": fingerprint,
         "workload": workload_descriptor(),
-        "runs": merge_runs(
-            previous.get("runs"), runs, fingerprint, key_fields=RUN_KEY
-        ),
+        "runs": stamp_runs(runs, fingerprint),
         "speedup_pool_over_single": round(speedup, 3),
         "gate": {
             "min_speedup": MIN_SPEEDUP,
@@ -288,15 +287,22 @@ def check_baseline() -> int:
             f"fingerprint {section.get('fingerprint')} != current "
             f"{fingerprint} — workload changed, re-run the benchmark"
         )
-    runs = {
-        (r.get("mode"), r.get("fingerprint") == fingerprint): r
-        for r in section.get("runs", [])
-    }
+    gate = section.get("gate", {})
     for mode in ("single", "pool"):
-        run = runs.get((mode, True))
-        if run is None:
-            failures.append(f"no current-fingerprint {mode!r} run recorded")
+        matching = [r for r in section.get("runs", []) if r.get("mode") == mode]
+        if len(matching) != 1:
+            failures.append(
+                f"{len(matching)} {mode!r} runs recorded; a record holds exactly one"
+            )
             continue
+        run = matching[0]
+        if run.get("fingerprint") != fingerprint:
+            failures.append(f"{mode!r} run was measured on another workload")
+        if mode == "pool" and run.get("workers") != gate.get("pool_workers"):
+            failures.append(
+                f"pool run has {run.get('workers')} workers but the gate "
+                f"block records {gate.get('pool_workers')}"
+            )
         if run.get("verified") != run.get("requests"):
             failures.append(
                 f"{mode!r} run: {run.get('verified')}/{run.get('requests')} "
@@ -304,7 +310,6 @@ def check_baseline() -> int:
             )
         if not run.get("healthy"):
             failures.append(f"{mode!r} run: healthcheck was not ok")
-    gate = section.get("gate", {})
     if gate.get("gate_active"):
         speedup = section.get("speedup_pool_over_single", 0.0)
         if speedup < gate.get("min_speedup", MIN_SPEEDUP):

@@ -406,7 +406,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service.admission import AdmissionController
-    from repro.service.server import serve
+    from repro.service.server import SolveService, serve
 
     pool_workers = (
         resolve_workers(args.pool_workers)
@@ -415,42 +415,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.store:
         _recover_store_offline(args.store, args.store_ttl)
-    if pool_workers >= 1:
-        # Sharded multi-process pool (docs/scaling.md): N solver worker
-        # processes behind the same JSON-lines front end.
-        from repro.service.supervisor import PooledSolveService
-
-        service = PooledSolveService(
-            pool_workers,
-            admission=AdmissionController(max_queue_depth=args.queue_depth),
-            default_deadline=args.default_deadline,
-            store_root=args.store,
-            store_ttl=args.store_ttl,
-            cache_size=args.cache_size,
-            cache_ttl=args.cache_ttl,
-            archive_traces=args.archive_traces,
-        )
-    else:
-        from repro.service.cache import ResultCache
-        from repro.service.server import SolveService
-
-        store = journal = None
-        if args.store:
-            from repro.store import ResultStore, WriteAheadJournal
-
-            store = ResultStore(args.store, ttl=args.store_ttl)
-            journal = WriteAheadJournal(args.store)
-        service = SolveService(
-            max_workers=resolve_workers(args.workers),
-            default_deadline=args.default_deadline,
-            cache=ResultCache(
-                max_entries=args.cache_size, ttl=args.cache_ttl, store=store
-            ),
-            admission=AdmissionController(max_queue_depth=args.queue_depth),
-            store=store,
-            journal=journal,
-            archive_traces=args.archive_traces,
-        )
+    # One front end; --pool-workers N >= 1 runs its solves in N sharded
+    # worker processes (docs/scaling.md), 0 on in-process threads.
+    service = SolveService(
+        pool_workers,
+        max_workers=resolve_workers(args.workers),
+        admission=AdmissionController(max_queue_depth=args.queue_depth),
+        default_deadline=args.default_deadline,
+        store_root=args.store,
+        store_ttl=args.store_ttl,
+        cache_size=args.cache_size,
+        cache_ttl=args.cache_ttl,
+        archive_traces=args.archive_traces,
+    )
 
     def ready(host: str, port: int) -> None:
         suffix = f" (pool: {pool_workers} workers)" if pool_workers >= 1 else ""
@@ -846,8 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="run the sharded multi-process solver pool with N worker "
-        "processes ('auto' = usable CPUs; 0, the default, keeps the "
-        "single-process service) — see docs/scaling.md",
+        "processes ('auto' = usable CPUs; 0, the default, solves on "
+        "in-process threads) — see docs/scaling.md",
     )
     srv.add_argument("--queue-depth", type=int, default=64)
     srv.add_argument("--cache-size", type=int, default=1024)

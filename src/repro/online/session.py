@@ -1,10 +1,10 @@
 """Per-tenant session hosting behind the ``op=stream`` wire protocol.
 
-:class:`SessionManager` is the single entry point both deployment
-shapes share: the single-process :class:`repro.service.server.SolveService`
-holds one, and each sharded pool worker holds its own (a tenant is
-pinned to one worker by :func:`repro.service.sharding.tenant_shard`, so
-the two never race on the same session).  ``apply`` serializes events
+:class:`SessionManager` is the single entry point both service lanes
+share: every :class:`repro.service.worker.Shard` holds one — the
+in-process lane's shard, and each pool worker's own (a tenant is pinned
+to one worker by :func:`repro.service.sharding.tenant_shard`, so two
+workers never race on the same session).  ``apply`` serializes events
 *per tenant* — the ordering contract the protocol promises — behind a
 short-held manager lock guarding only the session table, so one
 tenant's drift-triggered re-solve never blocks another tenant's

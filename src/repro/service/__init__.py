@@ -13,20 +13,24 @@ The subsystem turns the one-shot solvers into an asyncio service:
   driven by a :mod:`repro.simcore.costmodel` work estimate.
 * :mod:`repro.service.metrics` — counters / gauges / histograms plus the
   DP configuration-cache statistics.
-* :mod:`repro.service.server` — the asyncio JSON-lines front-end with
-  one executor call per admitted request and deadline-triggered
-  degradation to LPT.
+* :mod:`repro.service.server` — the asyncio JSON-lines front-end,
+  :class:`SolveService`: validation, coalescing, admission and
+  deadlines, over one lane — :class:`~repro.service.server.LocalLane`
+  (one shard on threads) by default.
+* :mod:`repro.service.worker` — the :class:`~repro.service.worker.Shard`
+  both lanes run (cache, journal, sessions, the solve path) and the
+  pool's worker process around it.
+* :mod:`repro.service.supervisor` — the other lane,
+  :class:`SupervisorPool` (``repro-pcmax serve --pool-workers N``): N
+  worker processes, crash-respawned, each owning one shard of the key
+  space — see ``docs/scaling.md``.
 * :mod:`repro.service.sharding` — canonical-key shard routing for the
-  multi-process pool.
-* :mod:`repro.service.worker` / :mod:`repro.service.supervisor` — the
-  sharded solver pool (``repro-pcmax serve --pool-workers N``): N worker
-  processes behind the same front-end, crash-respawned, each owning one
-  shard of the key space — see ``docs/scaling.md``.
+  pool.
 
 Durability is layered underneath by :mod:`repro.store` (opt-in via
 ``repro-pcmax serve --store DIR``): the cache gains a disk tier, every
-admitted request is write-ahead journaled, and a crashed server replays
-its unanswered work on restart — see ``docs/persistence.md``.
+solve is write-ahead journaled when it starts, and a crashed server
+replays its unanswered work on restart — see ``docs/persistence.md``.
 
 See ``docs/service.md`` for the architecture and protocol reference.
 """
@@ -64,7 +68,7 @@ from repro.service.sharding import (
     shard_of_request,
     tenant_shard,
 )
-from repro.service.supervisor import PooledSolveService, SupervisorPool
+from repro.service.supervisor import SupervisorPool
 
 __all__ = [
     "AdmissionController",
@@ -97,6 +101,5 @@ __all__ = [
     "shard_key",
     "shard_of_request",
     "tenant_shard",
-    "PooledSolveService",
     "SupervisorPool",
 ]

@@ -23,7 +23,7 @@ the way in and out:
 Eviction is LRU bounded by ``max_entries`` plus an optional TTL; hits,
 misses, evictions and expirations are counted for
 :mod:`repro.service.metrics`.  The cache is lock-protected — the server
-touches it from the event loop but worker threads and tests may not.
+reads it on the event loop while its solve threads write it.
 
 With a :class:`repro.store.ResultStore` attached the cache becomes
 two-tiered: memory hit → disk hit → miss.  ``put`` writes through to the

@@ -3,108 +3,180 @@
 Architecture (see ``docs/service.md`` for the full reference)::
 
     client ──JSON line──▶ connection handler ──▶ SolveService.handle
-                                                   │ 1. result cache
-                                                   │ 2. admission gate
-                                                   │ 3. dispatch: one
-                                                   │    executor call per job
+                                                   │ 1. lane.lookup (hit → reply)
+                                                   │ 2. coalesce, admission gate
+                                                   │ 3. lane.submit, deadline
                                                    ▼
-                                        ThreadPoolExecutor workers
-                                          └─ registry engines; parallel
-                                             PTAS draws its wavefront
-                                             workers from the persistent
-                                             reusable pools of
-                                             repro.parallel.executor
+                       LocalLane: one Shard on a ThreadPoolExecutor
+                  or SupervisorPool: one Shard per worker process
 
-Requests are solved off the event loop via ``run_in_executor``; the
-event loop only parses, admits, and enforces deadlines.  Each admitted
-request starts on a worker thread as soon as one is free: a cold PTAS
-solve costs about half a millisecond, so holding it back to wait for
-companions would cost more than it could save.  An engine that raises
-answers ``status="error"`` instead of leaving the client without a reply.
+:class:`SolveService` is the one front end: it validates, answers
+cache hits, single-flights concurrent twins, admits, and enforces
+deadlines, then hands the request to its lane.  Both lanes run the same
+:class:`~repro.service.worker.Shard`, so the journal, the solve, the
+write-through and the trace archive exist once.  In process, a memory
+or disk hit is answered on the event loop without an await; everything
+that blocks — the journal's fsyncs, the engine, the store put — runs on
+a lane thread.  An engine that raises answers ``status="error"``
+instead of leaving the client without a reply.
 
-Graceful degradation: a request with a ``deadline`` gets a deadline hook
-threaded into the PTAS bisection through its per-request
-:class:`~repro.core.context.SolveContext` (probes abort mid-solve); when
-the deadline fires, the service returns the LPT schedule for the same
-instance tagged ``degraded=true`` with Graham's ``4/3 - 1/(3m)``
-guarantee — a worse bound, never a timeout.  Engines that cannot be
-cancelled (the exact solvers) are abandoned in their worker thread and
-degraded from the event loop.
+Graceful degradation: at a request's ``deadline`` the lane answers the
+LPT schedule for the same instance tagged ``degraded=true`` with
+Graham's ``4/3 - 1/(3m)`` guarantee — a worse bound, never a timeout.
+A solve that is late when it would start never starts, and a running
+PTAS solve stops at its next probe (the deadline hook is threaded into
+the bisection through its :class:`~repro.core.context.SolveContext`).
 
-Observability: every deadline-capable solve runs under a fresh
-:class:`repro.obs.Tracer`; its per-phase summary (probe / dp / level /
-… wall time and counters) is folded into the metrics registry after each
-request, so ``{"op": "stats"}`` exposes ``trace.phase.<kind>.seconds``
-histograms alongside the service counters.
+Observability: every solve runs under a fresh :class:`repro.obs.Tracer`
+whose per-phase summary is folded into the metrics registry, so
+``{"op": "stats"}`` exposes ``trace.phase.<kind>.seconds`` histograms
+alongside the service counters.
 
-Durability (opt-in, see ``docs/persistence.md``): with a
-:class:`repro.store.ResultStore` and :class:`repro.store.WriteAheadJournal`
-attached, the cache reads/writes through to disk, every admitted request
-is journaled before solving and committed after answering, SIGTERM /
-SIGINT shut down through the same graceful path as the ``shutdown`` op,
-and traces can be archived next to the results they explain.
+Durability (opt-in, ``store_root``, see ``docs/persistence.md``): the
+cache reads and writes through to disk, every solve is journaled when
+it starts and committed after it answers, and SIGTERM / SIGINT shut
+down through the same graceful path as the ``shutdown`` op.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.service.admission import AdmissionController
-from repro.service.cache import CacheKey, ResultCache, canonical_key
-from repro.service.metrics import (
-    MetricsRegistry,
-    record_dp_cache,
-    record_stats_source,
-)
-from repro.obs import Tracer, publish_phase_summary, trace_to_payload
+from repro.service.cache import CacheKey, canonical_key
+from repro.service.metrics import MetricsRegistry
 from repro.service.registry import (
-    EngineSpec,
     UnknownEngineError,
-    build_solve_context,
-    canonical_engine_name,
     fallback_result,
     get_engine,
-    solve_to_result,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.service.supervisor import PooledSolveService
-    from repro.store.journal import WriteAheadJournal
-    from repro.store.resultstore import ResultStore
-from repro.online.session import SessionManager
 from repro.service.requests import (
     STATUS_ERROR,
     STATUS_REJECTED,
-    DeadlineExceeded,
     SolveRequest,
     SolveResult,
     StreamRequest,
     StreamResult,
+    deadline_checker,
 )
+from repro.service.supervisor import DEFAULT_SPAWN_GRACE, SupervisorPool
+from repro.service.worker import Shard
 
 #: Default TCP port (no registered meaning; "Cmax" on a phone keypad-ish).
 DEFAULT_PORT = 8357
 
 
-@dataclass
-class _Job:
-    """One admitted request on its way to a worker thread."""
+class LocalLane:
+    """One in-process :class:`~repro.service.worker.Shard` solved on a
+    thread pool: the lane of ``SolveService(pool_workers=0)``.
 
-    request: SolveRequest
-    spec: EngineSpec
-    deadline_at: float | None
-    admitted_at: float
+    It shares the front end's metrics registry.  Each solve is one
+    executor call (``batch_size`` observes 1 per call, and
+    ``queue_wait_seconds`` times the wait for a free thread), so the
+    journal, the solve and the write-through all run off the event loop.
+    """
+
+    def __init__(
+        self,
+        *,
+        max_workers: int,
+        metrics: MetricsRegistry,
+        clock: Callable[[], float],
+        **shard_options: Any,
+    ) -> None:
+        self.max_workers = max_workers
+        self.metrics = metrics
+        self._clock = clock
+        self.shard = Shard(metrics=metrics, clock=clock, **shard_options)
+        self._executor = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="repro-solve"
+        )
+        self._busy = 0
+
+    async def start(self) -> None:
+        """Nothing to spawn: the threads start on demand."""
+
+    def lookup(self, request: SolveRequest) -> SolveResult | None:
+        """Answer a memory or disk hit on the caller's thread."""
+        return self.shard.lookup(request)
+
+    def _run(self, func: Callable[..., Any], *args: Any) -> "asyncio.Future[Any]":
+        future = asyncio.get_running_loop().run_in_executor(self._executor, func, *args)
+        self._busy += 1
+        self.metrics.gauge("executor_busy").set(self._busy)
+        future.add_done_callback(self._release)
+        return future
+
+    def _release(self, _future: "asyncio.Future[Any]") -> None:
+        self._busy -= 1
+        self.metrics.gauge("executor_busy").set(self._busy)
+
+    async def submit(
+        self, request: SolveRequest, *, deadline_at: float | None = None
+    ) -> SolveResult:
+        """Solve *request* on a lane thread; at *deadline_at* answer the
+        LPT fallback.  The wait is shielded: a solve left behind (by the
+        deadline, or by a client that hung up) runs to its end or to its
+        engine's next deadline check."""
+        queued_at = self._clock()
+        check = None if deadline_at is None else deadline_checker(deadline_at, self._clock)
+
+        def solve() -> SolveResult:
+            self.metrics.histogram("queue_wait_seconds").observe(self._clock() - queued_at)
+            return self.shard.solve(request, check)
+
+        self.metrics.histogram("batch_size").observe(1)
+        future = self._run(solve)
+        if deadline_at is None:
+            return await asyncio.shield(future)
+        try:
+            return await asyncio.wait_for(
+                asyncio.shield(future), max(0.0, deadline_at - self._clock())
+            )
+        except asyncio.TimeoutError:
+            future.add_done_callback(lambda f: f.exception())  # reap quietly
+            return fallback_result(request)
+
+    async def submit_stream(self, request: StreamRequest) -> StreamResult:
+        """Apply one live-schedule event on a lane thread (the session
+        manager orders each tenant's events)."""
+        return await self._run(self.shard.apply_stream, request)
+
+    async def stats(self) -> dict[str, Any]:
+        """The shared registry's snapshot, with the shard's gauges."""
+        self.metrics.gauge("pool_utilization").set(self._busy / self.max_workers)
+        return self.shard.stats()
+
+    async def healthcheck(self) -> dict[str, Any]:
+        """Alive iff we got here."""
+        return {"ok": True, "mode": "single", "workers": 1, "executor_busy": self._busy}
+
+    async def aclose(self) -> None:
+        """Wait for the solves already running (queued ones are
+        cancelled), then close the shard, all off the event loop."""
+
+        def close() -> None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self.shard.close()
+
+        await asyncio.get_running_loop().run_in_executor(None, close)
 
 
 class SolveService:
-    """Request orchestrator: cache → admission → dispatch → degrade.
+    """Request orchestrator: validate → cache → coalesce → admit → lane.
+
+    One front end for both deployment shapes.  With ``pool_workers=0``
+    the lane is a :class:`LocalLane` (one shard on *max_workers*
+    threads); with ``pool_workers >= 1`` it is a
+    :class:`~repro.service.supervisor.SupervisorPool` of that many worker
+    processes, each running one shard (*start_method* and *spawn_grace*
+    apply to it).  ``store_root`` adds the durable tier and the
+    write-ahead journal to every shard.
 
     The service is transport-agnostic — :meth:`handle` takes a
     :class:`SolveRequest` and returns a :class:`SolveResult`; the
@@ -114,51 +186,78 @@ class SolveService:
 
     def __init__(
         self,
+        pool_workers: int = 0,
         *,
-        cache: ResultCache | None = None,
+        max_workers: int = 4,
         admission: AdmissionController | None = None,
         metrics: MetricsRegistry | None = None,
-        max_workers: int = 4,
         default_deadline: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        store: "ResultStore | None" = None,
-        journal: "WriteAheadJournal | None" = None,
+        store_root: str | None = None,
+        store_ttl: float | None = None,
+        cache_size: int = 1024,
+        cache_ttl: float | None = None,
         archive_traces: bool = False,
+        clock: Callable[[], float] = time.monotonic,
+        start_method: str = "spawn",
+        spawn_grace: float = DEFAULT_SPAWN_GRACE,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.cache = cache if cache is not None else ResultCache()
-        self.store = store
-        self.journal = journal
-        self.archive_traces = archive_traces
-        if store is not None and self.cache.store is None:
-            # Wire the durable tier under the memory cache so hits flow
-            # memory → disk → solve without the caller doing it by hand.
-            self.cache.store = store
-        self.admission = admission if admission is not None else AdmissionController()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.max_workers = max_workers
+        self.admission = admission if admission is not None else AdmissionController()
         self.default_deadline = default_deadline
         self._clock = clock
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-solve"
+        shard_options = dict(
+            store_root=store_root,
+            store_ttl=store_ttl,
+            cache_size=cache_size,
+            cache_ttl=cache_ttl,
+            archive_traces=archive_traces,
         )
-        self._shutdown_event: asyncio.Event | None = None
-        self._busy_workers = 0
+        self.lane: LocalLane | SupervisorPool
+        if pool_workers >= 1:
+            self.lane = SupervisorPool(
+                pool_workers,
+                metrics=self.metrics,
+                clock=clock,
+                start_method=start_method,
+                spawn_grace=spawn_grace,
+                **shard_options,
+            )
+        else:
+            self.lane = LocalLane(
+                max_workers=max_workers, metrics=self.metrics, clock=clock, **shard_options
+            )
         self._inflight: dict[CacheKey, asyncio.Future[None]] = {}
-        #: Live-schedule sessions behind ``op=stream`` — share the
-        #: service's cache (tenant re-solves and one-shot requests
-        #: answer each other), store (durable snapshots), and metrics
-        #: (``tenant.<id>.*`` gauges).
-        self.sessions = SessionManager(
-            store=self.store, cache=self.cache, metrics=self.metrics, clock=clock
-        )
+        self._started = False
+        self._start_lock = asyncio.Lock()
+        self._shutdown_event: asyncio.Event | None = None
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    async def start(self) -> None:
+        """Start the lane (idempotent; the first request also calls it):
+        a pool spawns its workers and waits until each is ready."""
+        async with self._start_lock:
+            await self.lane.start()
+        self._started = True
+
+    def request_shutdown(self) -> None:
+        """Ask :func:`serve` to wind down (set by the ``shutdown`` op)."""
+        if self._shutdown_event is not None:
+            self._shutdown_event.set()
+
+    async def aclose(self) -> None:
+        """Shut the lane down cleanly: solves already running finish, and
+        a clean exit leaves every journal empty and every segment closed."""
+        await self.lane.aclose()
 
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
     async def handle(self, request: SolveRequest) -> SolveResult:
         """Serve one request end to end (cache → admission → solve)."""
+        if not self._started:
+            await self.start()
         t0 = self._clock()
         self.metrics.counter("requests_total").inc()
         self.metrics.counter(f"requests.problem.{request.problem}").inc()
@@ -174,18 +273,18 @@ class SolveService:
                 error=str(exc),
             )
 
-        hit = self.cache.get(request)
+        # In process, a memory or disk hit is answered right here on the
+        # event loop; the pool's lookup is None and its worker answers.
+        hit = self.lane.lookup(request)
         if hit is not None:
-            self.metrics.counter("cache_hits").inc()
             self.metrics.histogram("request_latency_seconds").observe(
                 self._clock() - t0
             )
             return hit
-        self.metrics.counter("cache_misses").inc()
 
         # Single-flight coalescing: a concurrent duplicate (same
         # canonical key — a thundering herd of permuted twins) waits for
-        # the leader instead of burning a worker on identical work, then
+        # the leader instead of burning a solve on identical work, then
         # reads the freshly populated cache.  If the leader's answer was
         # not cacheable (degraded / failed), fall through and solve.
         key = canonical_key(request)
@@ -194,15 +293,9 @@ class SolveService:
             self._inflight[key] = asyncio.get_running_loop().create_future()
         else:
             self.metrics.counter("requests_coalesced").inc()
-            try:
-                await asyncio.shield(self._inflight[key])
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                pass
-            hit = self.cache.get(request)
+            await asyncio.shield(self._inflight[key])
+            hit = self.lane.lookup(request)
             if hit is not None:
-                self.metrics.counter("cache_hits").inc()
                 self.metrics.histogram("request_latency_seconds").observe(
                     self._clock() - t0
                 )
@@ -216,25 +309,9 @@ class SolveService:
                 if not waiters.done():
                     waiters.set_result(None)
 
-    async def handle_stream(self, request: StreamRequest) -> StreamResult:
-        """Serve one live-schedule event (``op=stream``).
-
-        The session manager serializes events internally; running
-        ``apply`` in the executor keeps any drift-triggered PTAS
-        re-solve off the event loop, exactly like a one-shot solve.
-        """
-        self.metrics.counter("stream_events_total").inc()
-        result = await asyncio.get_running_loop().run_in_executor(
-            self._executor, self.sessions.apply, request
-        )
-        if not result.ok:
-            self.metrics.counter("stream_errors").inc()
-        return result
-
     async def _admit_and_solve(
         self, request: SolveRequest, t0: float
     ) -> SolveResult:
-        spec = get_engine(request.engine, problem=request.problem)
         decision = self.admission.try_admit(request)
         if not decision.admitted:
             self.metrics.counter("requests_shed").inc()
@@ -245,180 +322,48 @@ class SolveService:
                 retry_after=decision.retry_after,
                 error=decision.reason,
             )
-
         deadline = (
             request.deadline if request.deadline is not None else self.default_deadline
         )
         deadline_at = None if deadline is None else t0 + deadline
-        job = _Job(
-            request=request,
-            spec=spec,
-            deadline_at=deadline_at,
-            admitted_at=self._clock(),
-        )
-        # Write-ahead: an admitted request is journaled before its solve
-        # starts, and marked committed only after a response exists and
-        # any cacheable answer has reached the store — so a crash at any
-        # point in between is replayed on restart (docs/persistence.md).
-        # A solve that raised is aborted instead: replaying it would
-        # only raise again.
-        entry = self.journal.begin(request) if self.journal is not None else None
         try:
-            result = await self._await_with_deadline(job, self._dispatch(job))
+            result = await self.lane.submit(request, deadline_at=deadline_at)
         finally:
             self.admission.release(decision)
-        if result.ok and not result.degraded:
-            self.cache.put(request, result)
-        if entry is not None:
-            if result.status == STATUS_ERROR:
-                self.journal.abort(entry)
-            else:
-                self.journal.commit(entry)
+        if result.degraded:
+            self.metrics.counter("degradations_total").inc()
         self.metrics.histogram("request_latency_seconds").observe(self._clock() - t0)
         return result
 
-    async def _await_with_deadline(
-        self, job: _Job, future: "asyncio.Future[SolveResult]"
-    ) -> SolveResult:
-        """Wait for the job; degrade from the event loop if a deadline
-        passes on an engine that cannot cancel itself (its worker thread
-        is abandoned — it still occupies a slot until it finishes).
-
-        The wait is shielded: a request cancelled while it waits (its
-        client hung up) leaves the solve to finish, so the worker is
-        released when its thread is, not before.
-        """
-        if job.deadline_at is None or job.spec.supports_deadline:
-            return await asyncio.shield(future)
-        remaining = max(0.0, job.deadline_at - self._clock())
-        try:
-            return await asyncio.wait_for(asyncio.shield(future), remaining)
-        except asyncio.TimeoutError:
-            self.metrics.counter("solves_abandoned").inc()
-            future.add_done_callback(lambda f: f.exception())  # reap quietly
-            return self._degrade(job)
-
-    def _dispatch(self, job: _Job) -> "asyncio.Future[SolveResult]":
-        """Start *job* on a worker thread: one executor call per job.
-
-        ``batch_size`` observes 1 per call; it stays in ``op=stats`` for
-        the consumers that read it.
-        """
-        self._busy_workers += 1
-        self.metrics.gauge("executor_busy").set(self._busy_workers)
-        self.metrics.histogram("batch_size").observe(1)
-        future = asyncio.get_running_loop().run_in_executor(
-            self._executor, self._solve_one, job
-        )
-        future.add_done_callback(self._release_worker)
-        return future
-
-    def _release_worker(self, _future: "asyncio.Future[SolveResult]") -> None:
-        self._busy_workers -= 1
-        self.metrics.gauge("executor_busy").set(self._busy_workers)
-
-    # ------------------------------------------------------------------
-    # Worker-side solve (runs in an executor thread)
-    # ------------------------------------------------------------------
-    def _solve_one(self, job: _Job) -> SolveResult:
-        self.metrics.histogram("queue_wait_seconds").observe(
-            self._clock() - job.admitted_at
-        )
-        request, spec = job.request, job.spec
-        if job.deadline_at is not None and self._clock() > job.deadline_at:
-            return self._degrade(job)
-        tracer = Tracer()
-        ctx = build_solve_context(
-            request,
-            deadline_at=(
-                job.deadline_at
-                if job.deadline_at is not None and spec.supports_deadline
-                else None
-            ),
-            clock=self._clock,
-            tracer=tracer,
-            metrics=self.metrics,
-        )
-        try:
-            result = solve_to_result(request, ctx, clock=self._clock)
-        except DeadlineExceeded:
-            publish_phase_summary(tracer, self.metrics)
-            return self._degrade(job)
-        except Exception as exc:  # noqa: BLE001 - every request gets a reply
-            self.metrics.counter("errors_total").inc()
-            return SolveResult(
-                request_id=request.request_id,
-                status=STATUS_ERROR,
-                engine=canonical_engine_name(request.engine),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        publish_phase_summary(tracer, self.metrics)
-        self._archive_trace(request, tracer)
+    async def handle_stream(self, request: StreamRequest) -> StreamResult:
+        """Serve one live-schedule event (``op=stream``): in process on a
+        lane thread, pooled on the tenant's pinned worker."""
+        if not self._started:
+            await self.start()
+        self.metrics.counter("stream_events_total").inc()
+        result = await self.lane.submit_stream(request)
+        if not result.ok:
+            self.metrics.counter("stream_errors").inc()
         return result
 
-    def _archive_trace(self, request: SolveRequest, tracer: Tracer) -> None:
-        """Persist this solve's trace into the durable store (opt-in)."""
-        if self.store is None or not self.archive_traces:
-            return
-        name = request.request_id or canonical_key(request)
-        try:
-            self.store.archive_trace(str(name), trace_to_payload(tracer))
-            self.metrics.counter("traces_archived").inc()
-        except OSError:
-            pass  # archival is best-effort; never fail the solve
-
-    def _degrade(self, job: _Job) -> SolveResult:
-        """The anytime fallback: problem-appropriate LPT in O(n log n),
-        tagged ``degraded`` (:func:`repro.service.registry.fallback_result`)."""
-        self.metrics.counter("degradations_total").inc()
-        return fallback_result(job.request)
-
     # ------------------------------------------------------------------
-    # Introspection and lifecycle
+    # Introspection
     # ------------------------------------------------------------------
-    def stats(self) -> dict[str, Any]:
-        """The ``{"op": "stats"}`` payload: every subsystem's counters."""
-        self.metrics.set_many(
-            "result_cache", {k: float(v) for k, v in self.cache.stats().items()}
-        )
+    async def stats(self) -> dict[str, Any]:
+        """The ``{"op": "stats"}`` payload: every subsystem's counters
+        (pooled: each worker's namespaced ``worker.<i>.*`` and summed
+        ``pool.*``)."""
         self.metrics.set_many(
             "admission", {k: float(v) for k, v in self.admission.stats().items()}
         )
-        if self.store is not None:
-            record_stats_source(self.metrics, "store", self.store)
-        if self.journal is not None:
-            record_stats_source(self.metrics, "journal", self.journal)
-        record_dp_cache(self.metrics)
-        self.metrics.gauge("pool_utilization").set(
-            self._busy_workers / self.max_workers
-        )
-        self.metrics.gauge("stream_sessions").set(float(self.sessions.num_sessions))
-        return self.metrics.snapshot()
+        return await self.lane.stats()
 
-    def healthcheck(self) -> dict[str, Any]:
-        """The ``{"op": "healthcheck"}`` payload for the single-process
-        service: alive iff we got here (the pooled service's coroutine
-        counterpart in :mod:`repro.service.supervisor` probes workers)."""
-        return {
-            "ok": True,
-            "mode": "single",
-            "workers": 1,
-            "executor_busy": self._busy_workers,
-        }
-
-    def request_shutdown(self) -> None:
-        """Ask :func:`serve` to wind down (set by the ``shutdown`` op)."""
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
-    async def aclose(self) -> None:
-        """Release the worker pool and flush the persistence layer — a
-        clean exit leaves the journal empty and every segment closed."""
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.journal is not None:
-            self.journal.close()
-        if self.store is not None:
-            self.store.close()
+    async def healthcheck(self) -> dict[str, Any]:
+        """The ``{"op": "healthcheck"}`` payload (pooled: every worker's
+        liveness and responsiveness)."""
+        if not self._started:
+            await self.start()
+        return await self.lane.healthcheck()
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +378,8 @@ async def _write_line(
         await writer.drain()
 
 
-async def _maybe_await(value):
-    """Normalize sync/async service methods: ``SolveService.stats`` is a
-    plain call, ``PooledSolveService.stats`` is a coroutine (it
-    round-trips to worker processes).  The front-end serves both."""
-    if inspect.isawaitable(value):
-        return await value
-    return value
-
-
 async def _handle_connection(
-    service: "SolveService | PooledSolveService",
+    service: SolveService,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
@@ -481,12 +417,12 @@ async def _handle_connection(
                 if op == "ping":
                     await _write_line(writer, lock, json.dumps({"op": "pong"}))
                 elif op == "stats":
-                    stats = await _maybe_await(service.stats())
+                    stats = await service.stats()
                     await _write_line(
                         writer, lock, json.dumps({"op": "stats", "stats": stats})
                     )
                 elif op == "healthcheck":
-                    health = await _maybe_await(service.healthcheck())
+                    health = await service.healthcheck()
                     await _write_line(
                         writer,
                         lock,
@@ -567,7 +503,7 @@ async def _handle_connection(
 
 
 async def start_server(
-    service: "SolveService | PooledSolveService",
+    service: SolveService,
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
 ) -> asyncio.AbstractServer:
@@ -583,7 +519,7 @@ async def serve(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     *,
-    service: "SolveService | PooledSolveService | None" = None,
+    service: SolveService | None = None,
     log_interval: float | None = None,
     on_ready: Callable[[str, int], None] | None = None,
 ) -> None:
@@ -598,11 +534,9 @@ async def serve(
     server leaves no uncommitted entries behind for work it answered.
     """
     svc = service if service is not None else SolveService()
-    starter = getattr(svc, "start", None)
-    if starter is not None:
-        # Pooled service: spawn the workers before accepting traffic so
-        # the first request never pays the pool's cold start.
-        await starter()
+    # A pool spawns its workers before accepting traffic, so the first
+    # request never pays the pool's cold start.
+    await svc.start()
     server = await start_server(svc, host, port)
     bound = server.sockets[0].getsockname()[:2] if server.sockets else (host, port)
     loop = asyncio.get_running_loop()
@@ -620,7 +554,7 @@ async def serve(
         assert log_interval is not None
         while True:
             await asyncio.sleep(log_interval)
-            await _maybe_await(svc.stats())
+            await svc.stats()
             print(svc.metrics.render_line(), flush=True)
 
     beat = (

@@ -1,10 +1,11 @@
 """Sharded multi-process solver pool: the supervisor side.
 
-``repro-pcmax serve --pool-workers N`` swaps the single-process
-:class:`~repro.service.server.SolveService` for a
-:class:`PooledSolveService`: the asyncio JSON-lines front end, admission
-control, single-flight coalescing, and deadline bookkeeping stay in the
-supervisor process, while every DP runs in one of N
+``repro-pcmax serve --pool-workers N`` gives the one front end,
+:class:`~repro.service.server.SolveService`, a :class:`SupervisorPool`
+as its lane instead of the in-process one: validation, admission
+control, single-flight coalescing and deadline bookkeeping stay in the
+supervisor process, while every solve runs on the
+:class:`~repro.service.worker.Shard` of one of N
 :mod:`repro.service.worker` processes — aggregate throughput scales
 with the machine instead of saturating one core's GIL.
 
@@ -45,20 +46,13 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.service.admission import AdmissionController
-from repro.service.cache import CacheKey
 from repro.service.metrics import MetricsRegistry, aggregate_pool_stats
-from repro.service.registry import (
-    UnknownEngineError,
-    fallback_result,
-    get_engine,
-)
+from repro.service.registry import fallback_result
 from repro.service.requests import (
     STATUS_ERROR,
-    STATUS_REJECTED,
     SolveRequest,
     SolveResult,
     StreamRequest,
@@ -67,7 +61,7 @@ from repro.service.requests import (
 from repro.service.sharding import shard_index, shard_key, tenant_shard
 from repro.service.worker import send_frame, worker_main
 
-__all__ = ["SupervisorPool", "PooledSolveService", "WorkerHandle"]
+__all__ = ["SupervisorPool", "WorkerHandle"]
 
 #: Seconds to wait for a worker's ``ready`` frame at pool start.
 DEFAULT_SPAWN_GRACE = 60.0
@@ -82,7 +76,6 @@ class _PoolJob:
 
     job_id: str
     request: SolveRequest
-    shard: int
     deadline_at: float | None
     future: "asyncio.Future[SolveResult]"
     retried: bool = False
@@ -160,7 +153,11 @@ class WorkerHandle:
 
 
 class SupervisorPool:
-    """Owns N worker processes and the frame traffic to them."""
+    """Owns N worker processes and the frame traffic to them: the pooled
+    lane of :class:`~repro.service.server.SolveService`, with the same
+    methods as :class:`~repro.service.server.LocalLane` (``start``,
+    ``lookup``, ``submit``, ``submit_stream``, ``stats``,
+    ``healthcheck``, ``aclose``)."""
 
     def __init__(
         self,
@@ -369,7 +366,7 @@ class SupervisorPool:
                 await self._send_job(handle, job)
             else:
                 self.metrics.counter("pool.crash_degradations").inc()
-                job.future.set_result(self._degrade_result(job.request))
+                job.future.set_result(fallback_result(job.request))
         for sjob in stream_stranded:
             # Never retried — see _StreamJob.  The error tells the
             # client to reopen (which restores the durable snapshot).
@@ -389,13 +386,6 @@ class SupervisorPool:
                 "(open_session restores the last durable snapshot)"
             ),
         )
-
-    def _degrade_result(self, request: SolveRequest) -> SolveResult:
-        """The anytime fallback, computed supervisor-side: the
-        problem-appropriate LPT tagged ``degraded``
-        (:func:`repro.service.registry.fallback_result`).
-        (``degradations_total`` is counted once, in ``_admit_and_solve``.)"""
-        return fallback_result(request)
 
     # ------------------------------------------------------------------
     # Request path
@@ -421,7 +411,11 @@ class SupervisorPool:
             # answer now rather than strand the client.
             if not job.future.done():
                 self.metrics.counter("pool.crash_degradations").inc()
-                job.future.set_result(self._degrade_result(job.request))
+                job.future.set_result(fallback_result(job.request))
+
+    def lookup(self, request: SolveRequest) -> None:
+        """Always ``None``: hits are answered by the request's worker."""
+        return None
 
     async def submit(
         self, request: SolveRequest, *, deadline_at: float | None = None
@@ -432,7 +426,6 @@ class SupervisorPool:
         job = _PoolJob(
             job_id=f"{next(self._seq):08d}",
             request=request,
-            shard=shard,
             deadline_at=deadline_at,
             future=asyncio.get_running_loop().create_future(),
         )
@@ -453,7 +446,7 @@ class SupervisorPool:
                 self._send(handle, {"kind": "cancel", "id": job.job_id})
             )
             self.metrics.counter("pool.deadline_degradations").inc()
-            return self._degrade_result(job.request)
+            return fallback_result(job.request)
 
     async def submit_stream(self, request: StreamRequest) -> StreamResult:
         """Route one live-schedule event to its tenant's pinned worker.
@@ -509,15 +502,24 @@ class SupervisorPool:
             self._pending_control.pop(cid, None)
             return None
 
-    async def stats_all(self) -> dict[int, dict[str, Any] | None]:
-        """Per-worker metrics snapshots (``None`` for unreachable)."""
-        replies = await asyncio.gather(
-            *(self._control(h, "stats") for h in self.handles)
+    async def stats(self) -> dict[str, Any]:
+        """The pooled ``op=stats`` payload: the supervisor's registry,
+        each worker's snapshot namespaced ``worker.<i>.*``, and ``pool.*``
+        totals summed across workers (:func:`aggregate_pool_stats`)."""
+        self.metrics.gauge("pool.workers").set(float(self.num_workers))
+        self.metrics.gauge("pool.worker_restarts_total").set(
+            float(sum(h.restarts for h in self.handles))
         )
-        return {
-            h.worker_id: (r.get("stats") if r is not None else None)
-            for h, r in zip(self.handles, replies)
-        }
+        workers: dict[int, dict[str, Any] | None] = {}
+        if self._started and not self._closing:
+            replies = await asyncio.gather(
+                *(self._control(h, "stats") for h in self.handles)
+            )
+            workers = {
+                h.worker_id: (r.get("stats") if r is not None else None)
+                for h, r in zip(self.handles, replies)
+            }
+        return aggregate_pool_stats(self.metrics.snapshot(), workers)
 
     async def healthcheck(self) -> dict[str, Any]:
         """Liveness + responsiveness of every worker."""
@@ -544,186 +546,3 @@ class SupervisorPool:
             "healthy": healthy,
             "details": details,
         }
-
-
-class PooledSolveService:
-    """Drop-in pooled counterpart of
-    :class:`repro.service.server.SolveService`.
-
-    Same duck-typed surface the JSON-lines front end consumes —
-    ``handle`` / ``stats`` / ``healthcheck`` / ``request_shutdown`` /
-    ``aclose`` / ``metrics`` — but every solve executes in a worker
-    process chosen by shard key.  ``stats`` is a coroutine here (it
-    round-trips to the workers); the front end awaits either shape.
-    """
-
-    def __init__(
-        self,
-        num_workers: int,
-        *,
-        admission: AdmissionController | None = None,
-        metrics: MetricsRegistry | None = None,
-        default_deadline: float | None = None,
-        store_root: str | None = None,
-        store_ttl: float | None = None,
-        cache_size: int = 1024,
-        cache_ttl: float | None = None,
-        archive_traces: bool = False,
-        clock: Callable[[], float] = time.monotonic,
-        start_method: str = "spawn",
-        spawn_grace: float = DEFAULT_SPAWN_GRACE,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.admission = admission if admission is not None else AdmissionController()
-        self.default_deadline = default_deadline
-        self._clock = clock
-        self.pool = SupervisorPool(
-            num_workers,
-            store_root=store_root,
-            store_ttl=store_ttl,
-            cache_size=cache_size,
-            cache_ttl=cache_ttl,
-            archive_traces=archive_traces,
-            metrics=self.metrics,
-            clock=clock,
-            start_method=start_method,
-            spawn_grace=spawn_grace,
-        )
-        self._inflight: dict[CacheKey, asyncio.Future[None]] = {}
-        self._start_lock: asyncio.Lock | None = None
-        self._shutdown_event: asyncio.Event | None = None
-
-    @property
-    def num_workers(self) -> int:
-        return self.pool.num_workers
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Spawn the pool (idempotent; ``handle`` also calls this)."""
-        if self._start_lock is None:
-            self._start_lock = asyncio.Lock()
-        async with self._start_lock:
-            await self.pool.start()
-
-    def request_shutdown(self) -> None:
-        """Signal the server loop to exit (the ``shutdown`` op)."""
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
-    async def aclose(self) -> None:
-        """Shut the pool down cleanly."""
-        await self.pool.aclose()
-
-    # ------------------------------------------------------------------
-    # Request path
-    # ------------------------------------------------------------------
-    async def handle(self, request: SolveRequest) -> SolveResult:
-        """Serve one request: validate → coalesce → admit → shard →
-        worker solve (→ degrade on deadline/crash)."""
-        await self.start()
-        t0 = self._clock()
-        self.metrics.counter("requests_total").inc()
-        self.metrics.counter(f"requests.problem.{request.problem}").inc()
-        try:
-            request.instance()  # eager structural validation
-            get_engine(request.engine, problem=request.problem)
-        except (UnknownEngineError, ValueError, TypeError) as exc:
-            self.metrics.counter("requests_invalid").inc()
-            return SolveResult(
-                request_id=request.request_id,
-                status=STATUS_ERROR,
-                engine=request.engine,
-                error=str(exc),
-            )
-
-        # Single-flight coalescing, trivially shard-aware: one canonical
-        # key maps to one shard, so followers wait for the leader and
-        # then submit — the worker's shard cache answers them instantly.
-        key = shard_key(request)
-        leader = key not in self._inflight
-        if leader:
-            self._inflight[key] = asyncio.get_running_loop().create_future()
-        else:
-            self.metrics.counter("requests_coalesced").inc()
-            try:
-                await asyncio.shield(self._inflight[key])
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                pass
-        try:
-            return await self._admit_and_solve(request, t0)
-        finally:
-            if leader:
-                waiter = self._inflight.pop(key)
-                if not waiter.done():
-                    waiter.set_result(None)
-
-    async def _admit_and_solve(
-        self, request: SolveRequest, t0: float
-    ) -> SolveResult:
-        decision = self.admission.try_admit(request)
-        if not decision.admitted:
-            self.metrics.counter("requests_shed").inc()
-            return SolveResult(
-                request_id=request.request_id,
-                status=STATUS_REJECTED,
-                engine=request.engine,
-                retry_after=decision.retry_after,
-                error=decision.reason,
-            )
-        deadline = (
-            request.deadline if request.deadline is not None else self.default_deadline
-        )
-        deadline_at = None if deadline is None else t0 + deadline
-        try:
-            result = await self.pool.submit(request, deadline_at=deadline_at)
-        finally:
-            self.admission.release(decision)
-        if result.cached:
-            self.metrics.counter("cache_hits").inc()
-        if result.degraded:
-            self.metrics.counter("degradations_total").inc()
-        self.metrics.histogram("request_latency_seconds").observe(
-            self._clock() - t0
-        )
-        return result
-
-    async def handle_stream(self, request: StreamRequest) -> StreamResult:
-        """Serve one live-schedule event (``op=stream``) on the pinned
-        worker's serial lane — the pooled counterpart of
-        :meth:`repro.service.server.SolveService.handle_stream`."""
-        await self.start()
-        self.metrics.counter("stream_events_total").inc()
-        result = await self.pool.submit_stream(request)
-        if not result.ok:
-            self.metrics.counter("stream_errors").inc()
-        return result
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    async def stats(self) -> dict[str, Any]:
-        """The pooled ``{"op": "stats"}`` payload: the supervisor's own
-        instruments, each worker's snapshot namespaced ``worker.<i>.*``,
-        and ``pool.*`` totals summed across workers."""
-        self.metrics.set_many(
-            "admission", {k: float(v) for k, v in self.admission.stats().items()}
-        )
-        self.metrics.gauge("pool.workers").set(float(self.num_workers))
-        self.metrics.gauge("pool.worker_restarts_total").set(
-            float(sum(h.restarts for h in self.pool.handles))
-        )
-        workers = (
-            await self.pool.stats_all()
-            if self.pool._started and not self.pool._closing
-            else {}
-        )
-        return aggregate_pool_stats(self.metrics.snapshot(), workers)
-
-    async def healthcheck(self) -> dict[str, Any]:
-        """Per-worker liveness/responsiveness report (the ``healthcheck`` op)."""
-        await self.start()
-        return await self.pool.healthcheck()

@@ -1,4 +1,5 @@
-"""Solver worker process of the sharded pool.
+"""The service :class:`Shard` (cache, journal, sessions, the one solve
+path), and the solver worker process of the sharded pool around it.
 
 One worker owns one shard of the canonical key space: it runs the
 registry engines for every request the supervisor routes to it, with
@@ -34,8 +35,8 @@ Worker → supervisor frames::
 Stream events (``op=stream``) ride the same serial solve lane as
 solves: the supervisor pins each tenant to one worker
 (:func:`repro.service.sharding.tenant_shard`), and the FIFO job queue
-then guarantees a tenant's events apply in arrival order.  The worker's
-:class:`repro.online.session.SessionManager` shares the worker's result
+then guarantees a tenant's events apply in arrival order.  The shard's
+:class:`repro.online.session.SessionManager` shares its result
 cache and store, so drift-triggered re-solves hit the same warm state
 as routed one-shot requests, and session snapshots persist durably next
 to the results.
@@ -59,7 +60,7 @@ import queue
 import signal
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.context import SolveContext
 from repro.obs import Tracer, publish_phase_summary, trace_to_payload
@@ -86,7 +87,7 @@ from repro.service.requests import (
     StreamResult,
 )
 
-__all__ = ["send_frame", "recv_frame", "worker_main"]
+__all__ = ["Shard", "send_frame", "recv_frame", "worker_main"]
 
 
 # ---------------------------------------------------------------------------
@@ -112,45 +113,181 @@ def recv_frame(conn) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
+# Shard: the state and solve path both lanes run
+# ---------------------------------------------------------------------------
+
+class Shard:
+    """One shard of the canonical key space: the result cache (with its
+    disk tier), the write-ahead journal, the live-schedule sessions and
+    the one solve path.
+
+    The in-process lane (:class:`repro.service.server.LocalLane`) runs
+    one shard on its solve threads; each pool worker process runs one
+    with ``worker_id`` set, which tags its store segments ``w<i>`` and
+    names its journal ``journal-w<i>.jsonl`` (one writer per file).  An
+    untagged shard writes untagged segments and ``journal.jsonl``.
+
+    *metrics* is shared with whoever hosts the shard; the shard counts
+    only its own events (cache hits and misses, solves, errors, trace
+    phases), so a registry shared with the front end counts each event
+    once.
+    """
+
+    def __init__(
+        self,
+        *,
+        metrics: MetricsRegistry,
+        worker_id: int | None = None,
+        store_root: str | None = None,
+        store_ttl: float | None = None,
+        cache_size: int = 1024,
+        cache_ttl: float | None = None,
+        archive_traces: bool = False,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.metrics = metrics
+        self.archive_traces = archive_traces
+        self._clock = clock
+        self.store = None
+        self.journal = None
+        if store_root:
+            from repro.store import ResultStore, WriteAheadJournal, worker_journal_name
+            from repro.store.journal import JOURNAL_NAME
+
+            tagged = worker_id is not None
+            self.store = ResultStore(
+                store_root,
+                ttl=store_ttl,
+                writer_tag=f"w{worker_id}" if tagged else None,
+            )
+            self.journal = WriteAheadJournal(
+                store_root,
+                name=worker_journal_name(worker_id) if tagged else JOURNAL_NAME,
+            )
+        self.cache = ResultCache(max_entries=cache_size, ttl=cache_ttl, store=self.store)
+        self.sessions = SessionManager(
+            store=self.store, cache=self.cache, metrics=self.metrics, clock=clock
+        )
+
+    def lookup(self, request: SolveRequest) -> SolveResult | None:
+        """A memory or disk hit for *request*, or ``None``."""
+        hit = self.cache.get(request)
+        self.metrics.counter("cache_hits" if hit is not None else "cache_misses").inc()
+        return hit
+
+    def solve(
+        self,
+        request: SolveRequest,
+        check_deadline: Callable[[], None] | None = None,
+    ) -> SolveResult:
+        """Solve *request* on the calling thread and write it through.
+
+        *check_deadline* raises :class:`DeadlineExceeded` once the
+        request is late or cancelled; it is checked before anything
+        starts (late work never starts) and then polled by the engine,
+        and either way the answer is the LPT fallback.  The journal
+        ``begin`` is written here, when the solve starts; the entry is
+        committed once the answer exists and any cacheable result is in
+        the store, or aborted if the engine raised.
+        """
+        t0 = self._clock()
+        if check_deadline is not None:
+            try:
+                check_deadline()
+            except DeadlineExceeded:
+                return fallback_result(request)
+        entry = self.journal.begin(request) if self.journal is not None else None
+        tracer = Tracer()
+        ctx = SolveContext(
+            check_deadline=check_deadline, tracer=tracer, metrics=self.metrics
+        )
+        try:
+            result = solve_to_result(request, ctx, clock=self._clock)
+        except DeadlineExceeded:
+            result = fallback_result(request)
+        except Exception as exc:  # noqa: BLE001 - every request gets a reply
+            self.metrics.counter("errors_total").inc()
+            if entry is not None:
+                self.journal.abort(entry)
+                entry = None
+            result = SolveResult(
+                request_id=request.request_id,
+                status=STATUS_ERROR,
+                engine=canonical_engine_name(request.engine),
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        publish_phase_summary(tracer, self.metrics)
+        if result.ok and not result.degraded:
+            self.cache.put(request, result)  # write-through to the store
+            if self.store is not None and self.archive_traces:
+                name = request.request_id or str(canonical_key(request))
+                try:  # best-effort: archival never fails the solve
+                    self.store.archive_trace(name, trace_to_payload(tracer))
+                    self.metrics.counter("traces_archived").inc()
+                except OSError:
+                    pass
+        if entry is not None:
+            self.journal.commit(entry)
+        self.metrics.counter("solves_total").inc()
+        self.metrics.histogram("solve_seconds").observe(self._clock() - t0)
+        return result
+
+    def apply_stream(self, request: StreamRequest) -> StreamResult:
+        """Apply one live-schedule event; a failure becomes an error
+        result, never an exception."""
+        try:
+            return self.sessions.apply(request)
+        except Exception as exc:  # noqa: BLE001 - the shard must survive any event
+            return StreamResult(
+                request_id=request.request_id,
+                tenant=request.tenant,
+                action=request.action,
+                status=STATUS_ERROR,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+
+    def stats(self) -> dict[str, Any]:
+        """Publish the cache, store, journal, DP-cache and session gauges
+        and return the registry's snapshot."""
+        self.metrics.set_many(
+            "result_cache", {k: float(v) for k, v in self.cache.stats().items()}
+        )
+        if self.store is not None:
+            record_stats_source(self.metrics, "store", self.store)
+        if self.journal is not None:
+            record_stats_source(self.metrics, "journal", self.journal)
+        record_dp_cache(self.metrics)
+        self.metrics.gauge("stream_sessions").set(float(self.sessions.num_sessions))
+        return self.metrics.snapshot()
+
+    def close(self) -> None:
+        """Checkpoint the journal and close the store: a clean exit
+        leaves the journal empty and every segment closed."""
+        if self.journal is not None:
+            self.journal.close()
+        if self.store is not None:
+            self.store.close()
+
+
+# ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
 
 class _Worker:
-    """State and loops of one worker process (see module docstring)."""
+    """The pipe, reader thread and cancel set around one :class:`Shard`
+    (see module docstring)."""
 
     def __init__(self, conn, worker_id: int, config: dict[str, Any]) -> None:
         self.conn = conn
         self.worker_id = worker_id
         self.metrics = MetricsRegistry()
+        self.metrics.gauge("worker_pid").set(float(os.getpid()))
+        self.shard = Shard(metrics=self.metrics, worker_id=worker_id, **config)
         self._clock = time.monotonic
         self._write_lock = threading.Lock()  # reader + main thread both reply
         self._cancel_lock = threading.Lock()
         self._cancelled: set[str] = set()
         self._jobs: "queue.Queue[dict[str, Any] | None]" = queue.Queue()
-        self.archive_traces = bool(config.get("archive_traces", False))
-
-        store_root = config.get("store_root")
-        self.store = None
-        self.journal = None
-        if store_root:
-            from repro.store import ResultStore, WriteAheadJournal, worker_journal_name
-
-            self.store = ResultStore(
-                store_root,
-                ttl=config.get("store_ttl"),
-                writer_tag=f"w{worker_id}",
-            )
-            self.journal = WriteAheadJournal(
-                store_root, name=worker_journal_name(worker_id)
-            )
-        self.cache = ResultCache(
-            max_entries=int(config.get("cache_size", 1024)),
-            ttl=config.get("cache_ttl"),
-            store=self.store,
-        )
-        self.sessions = SessionManager(
-            store=self.store, cache=self.cache, metrics=self.metrics
-        )
 
     # -- plumbing --------------------------------------------------------
     def _reply(self, payload: dict[str, Any]) -> None:
@@ -194,33 +331,13 @@ class _Worker:
                 )
             elif kind == "stats":
                 self._reply(
-                    {"kind": "stats", "id": msg.get("id"), "stats": self.stats()}
+                    {"kind": "stats", "id": msg.get("id"), "stats": self.shard.stats()}
                 )
             elif kind == "shutdown":
                 self._jobs.put(None)
                 return
 
-    # -- stats -----------------------------------------------------------
-    def stats(self) -> dict[str, Any]:
-        """This worker's metrics snapshot (cache, store, journal, DP
-        cache, trace phases) — merged pool-wide by the supervisor."""
-        self.metrics.set_many(
-            "result_cache", {k: float(v) for k, v in self.cache.stats().items()}
-        )
-        if self.store is not None:
-            record_stats_source(self.metrics, "store", self.store)
-        if self.journal is not None:
-            record_stats_source(self.metrics, "journal", self.journal)
-        record_dp_cache(self.metrics)
-        self.metrics.gauge("worker_pid").set(float(os.getpid()))
-        self.metrics.gauge("stream_sessions").set(float(self.sessions.num_sessions))
-        return self.metrics.snapshot()
-
     # -- solve path ------------------------------------------------------
-    def _degrade(self, request: SolveRequest) -> SolveResult:
-        self.metrics.counter("degradations_total").inc()
-        return fallback_result(request)
-
     def _check_hook(self, request_id: str, deadline_at: float | None):
         def check() -> None:
             if self._is_cancelled(request_id):
@@ -255,89 +372,27 @@ class _Worker:
                 }
             )
             return
-
-        t0 = self._clock()
-        self.metrics.counter(f"requests.problem.{request.problem}").inc()
-        hit = self.cache.get(request)
-        if hit is not None:
-            self.metrics.counter("cache_hits").inc()
-            self._reply({"kind": "result", "id": rid, "result": hit.to_dict()})
-            return
-        self.metrics.counter("cache_misses").inc()
-
-        deadline = msg.get("deadline")
-        deadline_at = None if deadline is None else t0 + float(deadline)
-        entry = self.journal.begin(request) if self.journal is not None else None
-        tracer = Tracer()
-        ctx = SolveContext(
-            check_deadline=self._check_hook(rid, deadline_at),
-            tracer=tracer,
-            metrics=self.metrics,
-        )
-        try:
-            result = solve_to_result(request, ctx, clock=self._clock)
-        except DeadlineExceeded:
-            result = self._degrade(request)
-        except Exception as exc:  # noqa: BLE001 - a bad solve must not kill the shard
-            self.metrics.counter("errors_total").inc()
-            if entry is not None:
-                self.journal.abort(entry)
-                entry = None
-            result = SolveResult(
-                request_id=request.request_id,
-                status=STATUS_ERROR,
-                engine=canonical_engine_name(request.engine),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        publish_phase_summary(tracer, self.metrics)
-        if result.ok and not result.degraded:
-            self.cache.put(request, result)  # write-through to the store
-            self._archive_trace(request, tracer)
-        if entry is not None:
-            self.journal.commit(entry)
-        self.metrics.counter("solves_total").inc()
-        self.metrics.histogram("solve_seconds").observe(self._clock() - t0)
+        result = self.shard.lookup(request)
+        if result is None:
+            deadline = msg.get("deadline")
+            deadline_at = None if deadline is None else self._clock() + float(deadline)
+            result = self.shard.solve(request, self._check_hook(rid, deadline_at))
         with self._cancel_lock:
             self._cancelled.discard(rid)
         self._reply({"kind": "result", "id": rid, "result": result.to_dict()})
 
     def _stream(self, msg: dict[str, Any]) -> None:
         """Apply one live-schedule event on the serial lane."""
-        rid = str(msg.get("id"))
-        self.metrics.counter("stream_events_total").inc()
         try:
             request = StreamRequest.from_dict(msg["request"])
         except (KeyError, ValueError, TypeError) as exc:
             self.metrics.counter("errors_total").inc()
             result = StreamResult(status=STATUS_ERROR, error=str(exc))
         else:
-            try:
-                result = self.sessions.apply(request)
-            except Exception as exc:  # noqa: BLE001 — the worker must
-                # survive any event (apply itself contains per-event
-                # failures; this is the last line of defense).
-                result = StreamResult(
-                    request_id=request.request_id,
-                    tenant=request.tenant,
-                    action=request.action,
-                    status=STATUS_ERROR,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            if not result.ok:
-                self.metrics.counter("stream_errors").inc()
+            result = self.shard.apply_stream(request)
         self._reply(
-            {"kind": "stream_result", "id": rid, "result": result.to_dict()}
+            {"kind": "stream_result", "id": str(msg.get("id")), "result": result.to_dict()}
         )
-
-    def _archive_trace(self, request: SolveRequest, tracer: Tracer) -> None:
-        if self.store is None or not self.archive_traces:
-            return
-        name = request.request_id or str(canonical_key(request))
-        try:
-            self.store.archive_trace(str(name), trace_to_payload(tracer))
-            self.metrics.counter("traces_archived").inc()
-        except OSError:
-            pass  # archival is best-effort
 
     # -- lifecycle -------------------------------------------------------
     def run(self) -> None:
@@ -358,10 +413,7 @@ class _Worker:
                 else:
                     self._solve(msg)
         finally:
-            if self.journal is not None:
-                self.journal.close()
-            if self.store is not None:
-                self.store.close()
+            self.shard.close()
             try:
                 self.conn.close()
             except OSError:

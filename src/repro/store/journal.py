@@ -1,7 +1,8 @@
 """Write-ahead journal: crash consistency for the scheduling service.
 
-The service journals every admitted :class:`SolveRequest` *before* the
-solve starts and marks it finished *after* a response was determined::
+The service journals every :class:`SolveRequest` it solves when the
+solve starts, on the solving thread, before the engine runs, and marks
+it finished *after* a response was determined::
 
     {"kind": "begin",  "id": "00000001-5f2a…", "request": {...}, "crc": …}
     {"kind": "commit", "id": "00000001-5f2a…", "crc": …}
@@ -10,11 +11,11 @@ solve starts and marks it finished *after* a response was determined::
 so a poison request cannot crash the service on every restart.)
 
 An entry with a ``begin`` but neither ``commit`` nor ``abort`` is
-*uncommitted*: the process died between admission and response.  On
-startup, :func:`repro.store.recovery.recover` re-solves exactly those
-entries into the result store, which is what turns "the cache died with
-the process" into "the service restarts warm and owes no client an
-answer it already admitted".
+*uncommitted*: the process died between the solve's start and its
+response.  On startup, :func:`repro.store.recovery.recover` re-solves
+exactly those entries into the result store, which is what turns "the
+cache died with the process" into "the service restarts warm and owes
+no client an answer it already started".
 
 Properties:
 
@@ -31,6 +32,7 @@ Properties:
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -89,8 +91,9 @@ class JournalEntry:
 class WriteAheadJournal:
     """Append-only begin/commit log of admitted solve requests.
 
-    Thread-safety note: callers serialize access (the service writes
-    from the event loop; recovery runs before the loop starts).
+    Thread-safe: a service lane's solve threads begin, commit and abort
+    entries concurrently, so sequence numbers, the open-entry map and
+    the appends are taken under one lock.
 
     ``name`` selects the journal file inside *root*; pool workers pass
     :func:`worker_journal_name` so each process owns its file alone.
@@ -102,6 +105,7 @@ class WriteAheadJournal:
         self.path = self.root / name
         self.torn_tail = False
         self._open_entries: dict[str, SolveRequest] = {}
+        self._lock = threading.Lock()
         self._seq = 0
         self.begins = 0
         self.commits = 0
@@ -146,44 +150,47 @@ class WriteAheadJournal:
         """Durably record an admitted request; returns its entry."""
         from repro.service.cache import canonical_key
 
-        self._seq += 1
-        entry_id = f"{self._seq:08d}-{key_address(canonical_key(request))[:12]}"
-        append_line(
-            self._fh,
-            encode_record(
-                "begin", {"id": entry_id, "request": request.to_dict()}
-            ),
-        )
-        self._open_entries[entry_id] = request
-        self.begins += 1
+        address = key_address(canonical_key(request))[:12]
+        with self._lock:
+            self._seq += 1
+            entry_id = f"{self._seq:08d}-{address}"
+            append_line(
+                self._fh,
+                encode_record(
+                    "begin", {"id": entry_id, "request": request.to_dict()}
+                ),
+            )
+            self._open_entries[entry_id] = request
+            self.begins += 1
         return JournalEntry(entry_id=entry_id, request=request)
 
     def _mark(self, entry: JournalEntry, kind: str) -> None:
-        if entry.entry_id not in self._open_entries:
-            return  # idempotent: already committed/aborted
-        append_line(self._fh, encode_record(kind, {"id": entry.entry_id}))
-        self._open_entries.pop(entry.entry_id, None)
+        with self._lock:
+            if entry.entry_id in self._open_entries:  # idempotent
+                append_line(self._fh, encode_record(kind, {"id": entry.entry_id}))
+                self._open_entries.pop(entry.entry_id)
+            if kind == "commit":
+                self.commits += 1
+            else:
+                self.aborts += 1
 
     def commit(self, entry: JournalEntry) -> None:
         """Mark an entry answered; it will never replay."""
         self._mark(entry, "commit")
-        self.commits += 1
 
     def abort(self, entry: JournalEntry) -> None:
         """Mark an entry permanently failed (poison); it will never
         replay again."""
         self._mark(entry, "abort")
-        self.aborts += 1
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def uncommitted(self) -> list[JournalEntry]:
         """Entries begun but neither committed nor aborted, oldest first."""
-        return [
-            JournalEntry(entry_id=eid, request=req)
-            for eid, req in sorted(self._open_entries.items())
-        ]
+        with self._lock:
+            entries = sorted(self._open_entries.items())
+        return [JournalEntry(entry_id=eid, request=req) for eid, req in entries]
 
     def __len__(self) -> int:
         return len(self._open_entries)
@@ -208,15 +215,16 @@ class WriteAheadJournal:
         shutdown — a journal that only ever grows would replay history
         forever.
         """
-        self._fh.close()
-        lines = [
-            encode_record("begin", {"id": eid, "request": req.to_dict()})
-            for eid, req in sorted(self._open_entries.items())
-        ]
-        data = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-        atomic_write(self.path, data)
-        self._fh = open(self.path, "ab")
-        self._fh.seek(0, os.SEEK_END)
+        with self._lock:
+            self._fh.close()
+            lines = [
+                encode_record("begin", {"id": eid, "request": req.to_dict()})
+                for eid, req in sorted(self._open_entries.items())
+            ]
+            data = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+            atomic_write(self.path, data)
+            self._fh = open(self.path, "ab")
+            self._fh.seek(0, os.SEEK_END)
 
     def close(self) -> None:
         """Flush, checkpoint, and close — a clean exit with no open

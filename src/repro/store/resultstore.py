@@ -198,8 +198,8 @@ class ResultStore:
         self._writer = SegmentWriter(
             self.segments_dir, max_bytes=segment_max_bytes, tag=writer_tag
         )
-        # The store is touched from the event loop (write-through cache)
-        # and from worker threads (trace archival), so mutations lock.
+        # The store is read from the event loop (cache hits) and written
+        # from solve threads (write-through, trace archival), so it locks.
         self._lock = threading.Lock()
         # address -> (segment path, byte offset) of the *latest* record.
         self._index: dict[str, tuple[Path, int]] = {}

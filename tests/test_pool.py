@@ -19,8 +19,8 @@ from repro.model.verify import verify_schedule
 from repro.service.cache import canonical_key
 from repro.service.metrics import aggregate_pool_stats
 from repro.service.requests import SolveRequest
+from repro.service.server import SolveService
 from repro.service.sharding import shard_of_request
-from repro.service.supervisor import PooledSolveService
 from repro.store import ResultStore, recover_all
 
 
@@ -102,7 +102,7 @@ class TestAggregatePoolStats:
 class TestPooledService:
     def test_solves_verify_and_twin_hits_shard_cache(self, tmp_path):
         async def scenario():
-            svc = PooledSolveService(2, store_root=str(tmp_path), spawn_grace=120)
+            svc = SolveService(2, store_root=str(tmp_path), spawn_grace=120)
             try:
                 first = await svc.handle(_req([5, 3, 8, 6, 2, 7], request_id="a"))
                 assert first.ok and not first.cached
@@ -128,7 +128,7 @@ class TestPooledService:
 
     def test_invalid_request_is_clean_error(self):
         async def scenario():
-            svc = PooledSolveService(1, spawn_grace=120)
+            svc = SolveService(1, spawn_grace=120)
             try:
                 bad = await svc.handle(_req([5, 3], engine="no-such-engine"))
                 assert bad.status == "error"
@@ -145,12 +145,12 @@ class TestPooledService:
 
         async def scenario():
             deadline = 6.0
-            svc = PooledSolveService(2, store_root=str(tmp_path), spawn_grace=120)
+            svc = SolveService(2, store_root=str(tmp_path), spawn_grace=120)
             try:
                 await svc.start()
                 request = _slow_req(deadline=deadline, request_id="victim")
                 shard = shard_of_request(request, 2)
-                handle = svc.pool.handles[shard]
+                handle = svc.lane.handles[shard]
                 old_pid = handle.proc.pid
                 t0 = time.monotonic()
                 task = asyncio.create_task(svc.handle(request))
@@ -210,7 +210,7 @@ class TestPooledService:
 
     def test_deadline_mid_solve_degrades_to_lpt(self):
         async def scenario():
-            svc = PooledSolveService(1, spawn_grace=120)
+            svc = SolveService(1, spawn_grace=120)
             try:
                 result = await svc.handle(
                     _slow_req(deadline=0.4, request_id="tight")
@@ -231,7 +231,7 @@ class TestPooledService:
 
     def test_write_through_store_and_clean_journals(self, tmp_path):
         async def scenario():
-            svc = PooledSolveService(2, store_root=str(tmp_path), spawn_grace=120)
+            svc = SolveService(2, store_root=str(tmp_path), spawn_grace=120)
             try:
                 reqs = [
                     _req([5, 3, 8, 6], machines=2, request_id="s0"),
@@ -266,7 +266,7 @@ class TestPooledService:
 
     def test_distinct_keys_spread_and_stats_namespace_workers(self, tmp_path):
         async def scenario():
-            svc = PooledSolveService(2, store_root=str(tmp_path), spawn_grace=120)
+            svc = SolveService(2, store_root=str(tmp_path), spawn_grace=120)
             try:
                 reqs = [
                     _req([i + 2, 2 * i + 3, 7, 5], machines=2, request_id=f"d{i}")

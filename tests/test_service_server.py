@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import random
+import threading
 
 import pytest
 
+from repro.algorithms.lpt import lpt
 from repro.model.instance import Instance
 from repro.model.verify import verify_schedule
+from repro.online.session import SessionManager
+from repro.service import registry
 from repro.service.admission import AdmissionController
-from repro.service.cache import ResultCache
-from repro.service.requests import SolveRequest, SolveResult
+from repro.service.cache import canonical_key
+from repro.service.registry import fallback_result, solve_to_result
+from repro.service.requests import SolveRequest, SolveResult, StreamRequest
 from repro.service.server import (
     SolveService,
     send_op,
@@ -40,6 +46,26 @@ async def _closed(service: SolveService, server=None):
 
 def _req(times, machines=3, engine="lpt", **kwargs) -> SolveRequest:
     return SolveRequest(times=tuple(times), machines=machines, engine=engine, **kwargs)
+
+
+def _blocking_engine(monkeypatch) -> tuple[threading.Event, threading.Event]:
+    """Register a ``blocking`` engine that answers LPT once released;
+    returns its ``(started, release)`` events."""
+    started, release = threading.Event(), threading.Event()
+
+    def solve(instance, request, ctx):
+        started.set()
+        release.wait(30.0)
+        return lpt(instance)
+
+    spec = registry.EngineSpec(
+        name="blocking",
+        description="test engine: blocks until released, then LPT",
+        guarantee=lambda request: 4 / 3,
+        solve=solve,
+    )
+    monkeypatch.setitem(registry._REGISTRY, "blocking", spec)
+    return started, release
 
 
 class TestHandle:
@@ -95,7 +121,7 @@ class TestHandle:
                 permuted = await svc.handle(_req([1, 2, 3, 4, 5], engine="ptas"))
             finally:
                 await _closed(svc)
-            return first, second, permuted, svc.cache.stats()
+            return first, second, permuted, svc.lane.shard.cache.stats()
 
         first, second, permuted, stats = run(scenario())
         assert not first.cached and second.cached and permuted.cached
@@ -230,7 +256,7 @@ class TestHandle:
                 for i in range(10):
                     res = await svc.handle(_req([i + 1, 2 * i + 3, 5, 7]))
                     assert res.ok and not res.cached
-                return svc.stats()
+                return await svc.stats()
             finally:
                 await _closed(svc)
 
@@ -245,7 +271,7 @@ class TestHandle:
             svc = SolveService()
             try:
                 await svc.handle(_req([3, 1, 2], engine="ptas"))
-                return svc.stats()
+                return await svc.stats()
             finally:
                 await _closed(svc)
 
@@ -265,7 +291,7 @@ class TestHandle:
             svc = SolveService()
             try:
                 await svc.handle(_req([7, 7, 6, 6, 5, 4, 4, 3], engine="ptas"))
-                return svc.stats()
+                return await svc.stats()
             finally:
                 await _closed(svc)
 
@@ -314,11 +340,10 @@ class TestProtocol:
         """An engine that raises answers ``status="error"`` on the wire,
         the connection keeps serving, and the request's journal entry is
         aborted rather than left pending for a restart to replay."""
-        from repro.store import ResultStore, WriteAheadJournal
 
         async def scenario():
-            journal = WriteAheadJournal(tmp_path)
-            svc = SolveService(store=ResultStore(tmp_path), journal=journal)
+            svc = SolveService(store_root=tmp_path)
+            journal = svc.lane.shard.journal
             server = await start_server(svc, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -335,7 +360,7 @@ class TestProtocol:
                     {"times": [1] * 19, "machines": 2, "engine": "brute"}
                 )
                 served = await ask({"times": [4, 3, 2], "machines": 2})
-                return failed, served, journal.stats(), svc.stats()
+                return failed, served, journal.stats(), await svc.stats()
             finally:
                 writer.close()
                 await writer.wait_closed()
@@ -349,6 +374,117 @@ class TestProtocol:
         assert journal_stats["aborts"] == 1
         assert journal_stats["commits"] == 1
         assert stats["counters"]["errors_total"] == 1
+
+
+class TestLocalLaneDurability:
+    def test_aclose_waits_for_a_running_solve(self, tmp_path, monkeypatch):
+        """A clean shutdown lets a solve already running finish: its
+        answer is ok and written through, and the journal ends empty."""
+        from repro.store import ResultStore
+        from repro.store.journal import JOURNAL_NAME
+
+        started, release = _blocking_engine(monkeypatch)
+        request = _req([5, 4, 3, 3, 3], machines=2, engine="blocking")
+
+        async def scenario():
+            svc = SolveService(store_root=tmp_path)
+            solving = asyncio.create_task(svc.handle(request))
+            assert await asyncio.to_thread(started.wait, 10.0)
+            closing = asyncio.create_task(svc.aclose())
+            await asyncio.sleep(0.2)
+            waited = not closing.done()
+            release.set()
+            result = await solving
+            await closing
+            return waited, result
+
+        waited, result = run(scenario())
+        assert waited
+        assert result.ok and not result.degraded
+        assert (tmp_path / JOURNAL_NAME).read_bytes() == b""
+        with ResultStore(tmp_path) as store:
+            assert store.get(canonical_key(request)) is not None
+
+    def test_fsyncs_stay_off_the_event_loop(self, tmp_path, monkeypatch):
+        """The journal begin, the store put and the commit of a cold solve
+        fsync on the lane's solve thread, never on the event loop."""
+        real_fsync = os.fsync
+        fsync_threads: list[int] = []
+
+        def spy(fd):
+            fsync_threads.append(threading.get_ident())
+            return real_fsync(fd)
+
+        async def scenario():
+            svc = SolveService(store_root=tmp_path)
+            try:
+                monkeypatch.setattr(os, "fsync", spy)
+                result = await svc.handle(
+                    _req([7, 7, 6, 6, 5, 4, 4, 3], engine="ptas")
+                )
+                monkeypatch.setattr(os, "fsync", real_fsync)
+            finally:
+                await svc.aclose()
+            return result, threading.get_ident()
+
+        result, loop_thread = run(scenario())
+        assert result.ok and not result.cached
+        assert len(fsync_threads) >= 3  # begin, store put, commit
+        assert loop_thread not in fsync_threads
+
+
+PARITY_TIMES = (13, 11, 9, 8, 7, 7, 5, 4, 3)
+
+
+class TestLaneParity:
+    """The in-process lane and the worker pool answer one sequence alike."""
+
+    @pytest.mark.parametrize(
+        "pool_workers", [0, pytest.param(1, marks=pytest.mark.slow)]
+    )
+    def test_lanes_answer_alike(self, pool_workers):
+        requests = [
+            _req(PARITY_TIMES, engine="ptas", request_id="cold"),
+            _req(PARITY_TIMES[::-1], engine="ptas", request_id="twin"),
+            _req(
+                (20, 19, 17, 15, 14, 12, 11, 10, 9, 8, 6, 5),
+                engine="ptas",
+                deadline=0.0,
+                request_id="late",
+            ),
+            _req(PARITY_TIMES, engine="no-such-engine", request_id="unknown"),
+        ]
+        events = [
+            StreamRequest(action="open_session", tenant="acme", machines=2),
+            StreamRequest(
+                action="add_jobs", tenant="acme", jobs=(("a", 5), ("b", 4), ("c", 3))
+            ),
+            StreamRequest(action="close", tenant="acme"),
+        ]
+
+        async def scenario():
+            svc = SolveService(pool_workers, spawn_grace=120)
+            try:
+                answers = [await svc.handle(r) for r in requests]
+                streamed = [await svc.handle_stream(e) for e in events]
+            finally:
+                await svc.aclose()
+            return answers, streamed
+
+        answers, streamed = run(scenario())
+        cold = solve_to_result(requests[0]).makespan
+        late = fallback_result(requests[2]).makespan
+        assert [(a.status, a.makespan, a.cached, a.degraded) for a in answers] == [
+            ("ok", cold, False, False),
+            ("ok", cold, True, False),
+            ("ok", late, False, True),
+            ("error", None, False, False),
+        ]
+        sessions = SessionManager()
+        expected = [sessions.apply(e) for e in events]
+        assert [(r.status, r.makespan, r.num_jobs) for r in streamed] == [
+            (r.status, r.makespan, r.num_jobs) for r in expected
+        ]
 
 
 class TestEndToEnd:
@@ -417,7 +553,7 @@ class TestEndToEnd:
         async def scenario():
             svc = SolveService(
                 max_workers=4,
-                cache=ResultCache(max_entries=256),
+                cache_size=256,
                 admission=AdmissionController(
                     max_queue_depth=len(requests) + 8, max_inflight_ops=1e18
                 ),

@@ -20,7 +20,6 @@ from repro.online.session import SessionManager, snapshot_name
 from repro.service.requests import StreamRequest, StreamResult
 from repro.service.server import SolveService, start_server, stream_events
 from repro.service.sharding import tenant_shard
-from repro.service.supervisor import PooledSolveService
 from repro.store import ResultStore
 
 
@@ -303,7 +302,7 @@ class TestServerStream:
                     StreamRequest(action="close", tenant="acme"),
                 ]
                 results = await stream_events("127.0.0.1", port, requests)
-                stats = svc.stats()
+                stats = await svc.stats()
             finally:
                 server.close()
                 await server.wait_closed()
@@ -435,7 +434,7 @@ class TestServerStream:
 class TestPooledStream:
     def test_pinned_session_with_durable_reopen(self, tmp_path):
         async def scenario():
-            svc = PooledSolveService(
+            svc = SolveService(
                 2, store_root=str(tmp_path), spawn_grace=120
             )
             try:
@@ -472,7 +471,7 @@ class TestPooledStream:
 
     def test_inf_threshold_session_never_resolves(self, tmp_path):
         async def scenario():
-            svc = PooledSolveService(
+            svc = SolveService(
                 1, store_root=str(tmp_path), spawn_grace=120
             )
             try:

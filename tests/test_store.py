@@ -11,6 +11,8 @@ job permutation is returned correctly remapped for a permuted duplicate.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -338,6 +340,47 @@ class TestJournal:
         with pytest.raises(RecordError):
             WriteAheadJournal(tmp_path)
 
+    def test_concurrent_begin_commit(self, tmp_path):
+        """Solve threads journal concurrently: every entry gets its own
+        id, no mark is lost, begins reach the file in sequence order, and
+        the file replays to no open entries."""
+        journal = WriteAheadJournal(tmp_path)
+        entry_ids: list[str] = []
+
+        def run_pairs(thread: int) -> None:
+            for i in range(50):
+                entry = journal.begin(_req([thread + 1, i + 1, 7]))
+                entry_ids.append(entry.entry_id)
+                journal.commit(entry)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run_pairs, args=(t,)) for t in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = journal.stats()
+        assert len(entry_ids) == len(set(entry_ids)) == 400
+        assert stats["begins"] == stats["commits"] == 400
+        lines = (tmp_path / JOURNAL_NAME).read_text().splitlines()
+        begun = [
+            int(record["id"].split("-")[0])
+            for record in map(decode_record, lines)
+            if record["kind"] == "begin"
+        ]
+        assert begun == sorted(begun) and len(begun) == 400
+        replayed = WriteAheadJournal(tmp_path)  # reads the file as appended
+        assert len(replayed) == 0
+        replayed.close()
+        journal.close()
+
     def test_sequence_continues_across_reopen(self, tmp_path):
         journal = WriteAheadJournal(tmp_path)
         first = journal.begin(_req([1, 2]))
@@ -421,13 +464,12 @@ class TestServiceIntegration:
         from repro.service.server import SolveService
 
         async def scenario():
-            store = ResultStore(tmp_path)
-            svc = SolveService(store=store, archive_traces=True)
+            svc = SolveService(store_root=tmp_path, archive_traces=True)
             try:
                 result = await svc.handle(
                     _req([7, 6, 5, 4, 3], engine="ptas", request_id="t-1")
                 )
-                snap = svc.stats()
+                snap = await svc.stats()
             finally:
                 await svc.aclose()
             return result, snap
