@@ -9,7 +9,11 @@ Replays one seeded mixed workload — a deterministic draw over the
 :mod:`repro.workloads` families with ~25% permuted duplicates, the twin
 pattern real traffic produces — against two server configurations, each
 launched as a real ``repro-pcmax serve`` subprocess and driven over TCP
-with a fixed client concurrency:
+with a fixed client concurrency.  One replay lasts well under a tenth
+of a second, too short to time steadily, so each configuration repeats
+it, on a freshly started server each round (every round solves the same
+requests from a cold cache), until the timed replays add up to at least
+``MIN_SECONDS``:
 
 * ``single`` — :class:`repro.service.SolveService` on its in-process
   lane (solves share the front end's GIL);
@@ -74,6 +78,8 @@ NUM_REQUESTS = 48
 #: exist for.
 DUPLICATE_EVERY = 4
 CONCURRENCY = 8
+#: Timed replay seconds each configuration accumulates, over rounds.
+MIN_SECONDS = 1.0
 #: Pooled throughput floor over single-process, when the gate is armed.
 MIN_SPEEDUP = 2.0
 #: CPUs below which the measured gate records a skip instead.
@@ -121,6 +127,7 @@ def workload_descriptor() -> dict:
         "num_requests": NUM_REQUESTS,
         "duplicate_every": DUPLICATE_EVERY,
         "concurrency": CONCURRENCY,
+        "min_seconds": MIN_SECONDS,
     }
 
 
@@ -159,8 +166,11 @@ def start_server(mode: str, workers: int) -> tuple[subprocess.Popen, int]:
     return proc, port
 
 
-def run_one(mode: str, workers: int, requests: list[SolveRequest]) -> dict:
-    """Measure one server configuration over the full replay."""
+def replay_once(
+    mode: str, workers: int, requests: list[SolveRequest]
+) -> tuple[float, list, bool]:
+    """One timed replay on a fresh server: ``(wall seconds, outcomes,
+    healthcheck ok)``."""
     proc, port = start_server(mode, workers)
     try:
         # One warm-up round trip so startup cost stays out of the clock.
@@ -180,34 +190,50 @@ def run_one(mode: str, workers: int, requests: list[SolveRequest]) -> dict:
         raise RuntimeError(
             f"{mode}: {len(outcomes)}/{len(requests)} requests answered"
         )
-    verified = cached = degraded = 0
+    return wall, outcomes, bool(health.get("ok"))
+
+
+def run_one(mode: str, workers: int, requests: list[SolveRequest]) -> dict:
+    """Measure one server configuration: replay rounds until the timed
+    replays add up to ``MIN_SECONDS``, verifying every answer."""
+    rounds = verified = cached = degraded = 0
+    wall = 0.0
+    healthy = True
     latencies = []
-    for request, (result, latency) in zip(requests, outcomes):
-        latencies.append(latency)
-        if not result.ok or result.assignment is None:
-            raise RuntimeError(f"{mode}: request {request.request_id} failed: {result.error}")
-        report = verify_schedule(
-            Schedule(request.instance(), result.assignment), request.instance()
-        )
-        report.raise_if_failed()
-        verified += 1
-        cached += int(result.cached)
-        degraded += int(result.degraded)
+    while wall < MIN_SECONDS:
+        seconds, outcomes, ok = replay_once(mode, workers, requests)
+        rounds += 1
+        wall += seconds
+        healthy = healthy and ok
+        for request, (result, latency) in zip(requests, outcomes):
+            latencies.append(latency)
+            if not result.ok or result.assignment is None:
+                raise RuntimeError(
+                    f"{mode}: request {request.request_id} failed: {result.error}"
+                )
+            report = verify_schedule(
+                Schedule(request.instance(), result.assignment), request.instance()
+            )
+            report.raise_if_failed()
+            verified += 1
+            cached += int(result.cached)
+            degraded += int(result.degraded)
     latencies.sort()
     pct = lambda p: latencies[min(len(latencies) - 1, int(p / 100 * len(latencies)))]  # noqa: E731
     return {
         "mode": mode,
         "workers": workers,
-        "requests": len(requests),
+        "rounds": rounds,
+        "requests": len(latencies),
         "verified": verified,
         "cached": cached,
         "degraded": degraded,
         "seconds": round(wall, 4),
-        "rps": round(len(requests) / wall, 2),
+        "rps": round(len(latencies) / wall, 2),
         "latency_mean_ms": round(statistics.mean(latencies) * 1e3, 3),
         "latency_p50_ms": round(pct(50) * 1e3, 3),
         "latency_p99_ms": round(pct(99) * 1e3, 3),
-        "healthy": bool(health.get("ok")),
+        "healthy": healthy,
     }
 
 
@@ -218,7 +244,8 @@ def main() -> int:
     fingerprint = instance_fingerprint(workload_descriptor())
     print(
         f"replaying {len(requests)} requests (concurrency {CONCURRENCY}, "
-        f"fingerprint {fingerprint}) on a {cpus}-CPU host"
+        f"fingerprint {fingerprint}) on a {cpus}-CPU host, rounds until "
+        f"{MIN_SECONDS:g} s are timed"
     )
 
     runs = []
@@ -228,8 +255,8 @@ def main() -> int:
         print(
             f"{mode:6s} w={workers}: {run['rps']:8.1f} req/s  "
             f"p50={run['latency_p50_ms']:.2f}ms p99={run['latency_p99_ms']:.2f}ms  "
-            f"({run['verified']} verified, {run['cached']} cached, "
-            f"{run['degraded']} degraded)"
+            f"({run['rounds']} rounds, {run['verified']} verified, "
+            f"{run['cached']} cached, {run['degraded']} degraded)"
         )
 
     single_rps = runs[0]["rps"]

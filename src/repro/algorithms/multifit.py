@@ -13,36 +13,45 @@ a baseline and as a didactic stepping stone.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
-from repro.model.instance import Instance
+from repro.model.instance import Instance, time_order
 from repro.model.schedule import Schedule
 
 
-def ffd_pack(instance: Instance, capacity: int) -> list[list[int]] | None:
-    """First-fit-decreasing bin packing of all jobs into bins of size
-    ``capacity``.
+def ffd_pack(
+    sizes: Sequence[int],
+    capacity: int,
+    num_bins: int,
+    max_items: int | None = None,
+) -> list[list[int]] | None:
+    """First-fit-decreasing bin packing of all items into at most
+    ``num_bins`` bins of size ``capacity``.
 
-    Returns the bins (lists of job indices) or ``None`` when more than
-    ``m`` bins would be needed.  Jobs longer than the capacity make the
-    packing fail immediately.
+    Items go in non-increasing size (ties by index), each into the first
+    bin with room for it and, when ``max_items`` is given, fewer than
+    ``max_items`` items already.  Returns the bins (lists of item
+    indices) or ``None`` when more than ``num_bins`` bins would be
+    needed.  An item larger than the capacity makes the packing fail
+    immediately.
     """
-    t = instance.processing_times
-    m = instance.num_machines
     bins: list[list[int]] = []
     space: list[int] = []
-    for j in instance.sorted_jobs_desc():
-        if t[j] > capacity:
+    cap = len(sizes) if max_items is None else max_items
+    for j in time_order(sizes, descending=True):
+        size = sizes[j]
+        if size > capacity:
             return None
         for b in range(len(bins)):
-            if space[b] >= t[j]:
+            if space[b] >= size and len(bins[b]) < cap:
                 bins[b].append(j)
-                space[b] -= t[j]
+                space[b] -= size
                 break
         else:
-            if len(bins) == m:
+            if len(bins) == num_bins:
                 return None
             bins.append([j])
-            space.append(capacity - t[j])
+            space.append(capacity - size)
     return bins
 
 
@@ -59,17 +68,18 @@ def multifit(instance: Instance, iterations: int = 10) -> Schedule:
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    avg = instance.total_work / instance.num_machines
+    times, m = instance.processing_times, instance.num_machines
+    avg = instance.total_work / m
     cl = max(math.ceil(avg), instance.max_time)
     cu = max(math.ceil(2 * avg), instance.max_time)
-    best = ffd_pack(instance, cu)
+    best = ffd_pack(times, cu, m)
     assert best is not None, "FFD must succeed at the upper capacity bound"
     best_capacity = cu
     for _ in range(iterations):
         if cl >= cu:
             break
         c = (cl + cu) // 2
-        packed = ffd_pack(instance, c)
+        packed = ffd_pack(times, c, m)
         if packed is not None:
             best, best_capacity = packed, c
             cu = c

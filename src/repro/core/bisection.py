@@ -154,7 +154,10 @@ class _RoundingCache:
 
 
 def _initial_upper_bound(
-    instance: Instance, warm_start: bool, ub_hint: int | None = None
+    instance: Instance,
+    warm_start: bool,
+    ub_hint: int | None = None,
+    lpt_makespan: int | None = None,
 ) -> int:
     """Eq. 2, tightened by the actual LPT makespan when warm-starting.
 
@@ -163,13 +166,17 @@ def _initial_upper_bound(
     rounded-DP target (rounding only shrinks loads), so a caller that
     already holds one — a live schedule between re-solves — hands its
     makespan here and the search starts below both Eq. 2 and LPT.
+    ``lpt_makespan`` is LPT's makespan when the caller has already
+    computed it, so it is not computed twice.
     """
     upper = makespan_bounds(instance).upper
     if not warm_start:
         return upper
-    from repro.algorithms.lpt import lpt
+    if lpt_makespan is None:
+        from repro.algorithms.lpt import lpt
 
-    upper = min(upper, lpt(instance).makespan)
+        lpt_makespan = lpt(instance).makespan
+    upper = min(upper, lpt_makespan)
     if ub_hint is not None:
         upper = min(upper, int(ub_hint))
     return upper
@@ -182,6 +189,7 @@ def bisect_target_makespan(
     job_cap: int | None = None,
     *,
     ctx: SolveContext | None = None,
+    lpt_makespan: int | None = None,
 ) -> BisectionOutcome:
     """Run the dual-approximation bisection and return the last feasible
     probe (whose target equals the final ``UB = LB``).
@@ -201,13 +209,15 @@ def bisect_target_makespan(
     unit of work) and cancels the solve by raising — typically
     :class:`repro.service.requests.DeadlineExceeded`; ``ctx.tracer``
     receives one ``probe`` span per iteration with a nested ``round``
-    span (the solver adds ``enumerate``/``dp``/``level`` spans beneath).
+    span (the solver adds ``enumerate``/``dp``/``level`` spans beneath),
+    tagged with the result's ``decider``.  ``lpt_makespan`` hands in
+    LPT's makespan when the caller already has it (warm start only).
     """
     ctx = ctx if ctx is not None else _FAITHFUL_CONTEXT
     tracer = ctx.tracer
     m = instance.num_machines
     lb = makespan_bounds(instance).lower
-    ub = _initial_upper_bound(instance, ctx.warm_start, ctx.ub_hint)
+    ub = _initial_upper_bound(instance, ctx.warm_start, ctx.ub_hint, lpt_makespan)
     cache = _RoundingCache(instance, k)
     do_round = cache.round if ctx.warm_start else (
         lambda target: round_instance(instance, target, k)
@@ -225,6 +235,7 @@ def bisect_target_makespan(
             feasible = result.opt is not None and result.opt <= m
             sp.set(
                 feasible=feasible,
+                decider=result.decider,
                 opt=result.opt,
                 table_size=problem.table_size,
                 num_long_jobs=rounded.num_long_jobs,

@@ -147,13 +147,17 @@ class DPResult:
     ``opt`` is ``None`` when a ``limit`` was given and ``OPT(N)`` exceeds
     it (the bisection treats that as "no feasible schedule within T").
     ``machine_configs`` — when requested and feasible — sum componentwise
-    to exactly ``N``.
+    to exactly ``N``.  ``decider`` names what answered the probe: ``dp``
+    (an engine solved it), ``reuse`` (an earlier probe's result came
+    back) or ``ffd`` (a first-fit-decreasing packing, whose ``opt`` is
+    the number of machines it used — an upper bound on ``OPT(N)``).
     """
 
     opt: int | None
     machine_configs: tuple[tuple[int, ...], ...] = ()
     engine: str = ""
     stats: DPStats | None = None
+    decider: str = "dp"
 
 
 # ---------------------------------------------------------------------------

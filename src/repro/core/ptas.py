@@ -11,18 +11,29 @@ multicore cost accounting used by the speedup experiments.
 Guarantee: the returned makespan is at most ``(1 + eps)`` times optimal
 (Hochbaum & Shmoys); the parallel version computes the *same* schedule as
 the sequential one, so it inherits the guarantee verbatim.
+
+:func:`_served_ptas` is what the registry's ``ptas`` engine serves: the
+same bisection and certified target, with probes decided by
+first-fit-decreasing before the kernel, and the better of the certified
+witness and LPT returned in canonical coordinates.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from repro.core.bisection import BisectionOutcome, bisect_target_makespan
+from repro.core.bisection import (
+    BisectionOutcome,
+    DecisionSolver,
+    bisect_target_makespan,
+)
+from repro.core.bounds import makespan_bounds
 from repro.core.context import DEFAULT_CONTEXT, SolveContext
 from repro.core.dp import DPProblem, DPResult, _enumerate_traced, solve
 from repro.core.parallel_dp import BACKENDS, EXECUTOR_BACKENDS, parallel_dp
 from repro.core.rounding import accuracy_parameter
-from repro.model.instance import Instance
+from repro.model.instance import Instance, time_order
 from repro.model.schedule import Schedule
 from repro.core.reconstruct import build_schedule
 from repro.parallel.executor import make_executor
@@ -80,6 +91,59 @@ def _effective_job_cap(k: int, guarantee_fix: bool) -> int | None:
     if not guarantee_fix or k < 2:
         return None
     return k - 1
+
+
+def _kernel_solver(
+    ctx: SolveContext,
+    num_workers: int,
+    backend: str,
+    *,
+    collect_stats: bool = False,
+    machine: SimulatedMachine | None = None,
+    cost_model: CostModel | None = None,
+    executor=None,
+) -> DecisionSolver:
+    """The wavefront kernel as the bisection's decision solver.
+
+    Probe reuse: a probe's table depends only on the counts and the
+    configuration set, so with ``ctx.warm_start`` on and a real backend,
+    a probe whose key repeats an earlier one's gets that probe's result
+    back (``decider="reuse"``) instead of a refill.
+    """
+    reused: dict[tuple, DPResult] | None = (
+        {} if ctx.warm_start and backend != "simulated" else None
+    )
+
+    def solver(problem: DPProblem, m: int) -> DPResult:
+        configs = key = None
+        if reused is not None and problem.counts:
+            configs = _enumerate_traced(problem, ctx)
+            key = (
+                problem.class_sizes, problem.counts, problem.job_cap, m,
+                configs.configs,
+            )
+            hit = reused.get(key)
+            if hit is not None:
+                ctx.count("dp_reuses")
+                return dataclasses.replace(hit, decider="reuse")
+        result = parallel_dp(
+            problem,
+            num_workers,
+            backend,
+            limit=m,
+            track_schedule=True,
+            collect_stats=collect_stats,
+            machine=machine,
+            cost_model=cost_model,
+            executor=executor,
+            ctx=ctx,
+            configs=configs,
+        )
+        if key is not None:
+            reused[key] = result
+        return result
+
+    return solver
 
 
 def ptas(
@@ -247,42 +311,15 @@ def parallel_ptas(
         make_executor(backend, num_workers, reuse=True) if owns_executor else external
     )
 
-    # Probe reuse: a probe's table depends only on the counts and the
-    # configuration set, so a probe whose rounding repeats an earlier
-    # one's key gets that probe's result back instead of a refill.
-    reused: dict[tuple, DPResult] | None = (
-        {} if ctx.warm_start and backend != "simulated" else None
+    solver = _kernel_solver(
+        ctx,
+        num_workers,
+        backend,
+        collect_stats=collect_stats,
+        machine=machine,
+        cost_model=cost_model,
+        executor=executor,
     )
-
-    def solver(problem: DPProblem, m: int) -> DPResult:
-        configs = key = None
-        if reused is not None and problem.counts:
-            configs = _enumerate_traced(problem, ctx)
-            key = (
-                problem.class_sizes, problem.counts, problem.job_cap, m,
-                configs.configs,
-            )
-            hit = reused.get(key)
-            if hit is not None:
-                ctx.count("dp_reuses")
-                return hit
-        result = parallel_dp(
-            problem,
-            num_workers,
-            backend,
-            limit=m,
-            track_schedule=True,
-            collect_stats=collect_stats,
-            machine=machine,
-            cost_model=cost_model,
-            executor=executor,
-            ctx=ctx,
-            configs=configs,
-        )
-        if key is not None:
-            reused[key] = result
-        return result
-
     try:
         with ctx.span(
             "solve",
@@ -319,4 +356,113 @@ def parallel_ptas(
         dp_engine=f"parallel-{backend}",
         num_workers=num_workers,
         machine=machine,
+    )
+
+
+def _ffd_witness(problem: DPProblem, m: int) -> DPResult | None:
+    """Decide a probe by first-fit-decreasing, or ``None`` if FFD fails.
+
+    Packs the rounded long jobs, largest class first, into at most ``m``
+    machines within ``T`` and ``job_cap`` jobs per machine.  Each packed
+    machine is a configuration of the DP's own set, so a packing proves
+    ``OPT(N) <= m`` and serves as the probe's witness; a failure proves
+    nothing, and the caller asks the DP.
+    """
+    from repro.algorithms.multifit import ffd_pack
+
+    counts = problem.counts
+    item_class = [c for c in reversed(range(len(counts))) for _ in range(counts[c])]
+    bins = ffd_pack(
+        [problem.class_sizes[c] for c in item_class], problem.target, m, problem.job_cap
+    )
+    if bins is None:
+        return None
+    configs = []
+    for items in bins:
+        config = [0] * len(counts)
+        for item in items:
+            config[item_class[item]] += 1
+        configs.append(tuple(config))
+    return DPResult(opt=len(configs), machine_configs=tuple(configs), decider="ffd")
+
+
+def _served_ptas(
+    instance: Instance, eps: float, ctx: SolveContext | None = None
+) -> Schedule:
+    """The registry's ``ptas`` answer: the cheapest certified witness.
+
+    Runs Algorithm 1's warm-started bisection with the guarantee fix, so
+    every probe decision and the certified ``final_target`` equal those
+    of ``ptas(instance, eps, engine="table")``, but obtains them more
+    cheaply:
+
+    * LPT is computed once.  At ``LB = max(ceil(sum/m), max t)`` it is
+      optimal and is served without a probe; otherwise its makespan is
+      the bisection's upper bound.
+    * Each probe is decided by :func:`_ffd_witness` first; only when FFD
+      cannot pack does the wavefront kernel (with probe reuse) decide.
+      An FFD packing is a DP-feasible cover, so the decisions match.
+    * The final probe's witness is reconstructed as usual, and the
+      better of it and LPT is served.  Either is within
+      ``(1 + 1/k) * final_target <= (1 + eps) * OPT``: the un-rounding
+      and short-job fill argument holds for any packing within ``T`` and
+      the ``k - 1`` cap.
+
+    The solve runs in canonical coordinates — jobs in ascending
+    :func:`repro.model.instance.time_order`, the result cache's order —
+    and the schedule is mapped back to the caller's numbering, so the
+    answer is a function of the job multiset, as the cache's keys
+    assume.  The deadline hook is polled once before any work, then
+    before every probe.  Each ``probe`` span carries its
+    ``decider`` (``ffd``, ``dp`` or ``reuse``), ``probes_ffd`` counts
+    FFD's, and the ``solve`` span records ``final_target``.
+    """
+    from repro.algorithms.lpt import lpt
+
+    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
+    ctx.check()
+    times = instance.processing_times
+    order = time_order(times)
+    canonical = Instance([times[j] for j in order], instance.num_machines)
+    k = accuracy_parameter(eps)
+    with ctx.span(
+        "solve",
+        algorithm="ptas",
+        engine="served",
+        n=instance.num_jobs,
+        m=instance.num_machines,
+        eps=eps,
+        k=k,
+    ) as sp:
+        served = lpt(canonical)
+        makespan = served.makespan
+        final_target = makespan_bounds(canonical).lower
+        if makespan > final_target:
+            kernel = _kernel_solver(ctx, 1, "numpy-serial")
+
+            def decide(problem: DPProblem, m: int) -> DPResult:
+                witness = _ffd_witness(problem, m)
+                if witness is None:
+                    return kernel(problem, m)
+                ctx.count("probes_ffd")
+                return witness
+
+            outcome = bisect_target_makespan(
+                canonical,
+                k,
+                decide,
+                job_cap=_effective_job_cap(k, True),
+                ctx=ctx,
+                lpt_makespan=makespan,
+            )
+            final_target = outcome.final_target
+            with ctx.span("reconstruct"):
+                witness = build_schedule(
+                    canonical, outcome.rounded, outcome.dp_result.machine_configs
+                )
+            if witness.makespan <= makespan:
+                served, makespan = witness, witness.makespan
+        sp.set(makespan=makespan, final_target=final_target)
+    return Schedule(
+        instance, [[order[p] for p in group] for group in served.assignment]
     )

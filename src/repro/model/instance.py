@@ -42,6 +42,19 @@ def _as_int(value: object, what: str) -> int:
     return as_int
 
 
+def time_order(times: Sequence[int], *, descending: bool = False) -> list[int]:
+    """Indices of *times* sorted by time, ties broken by ascending index.
+
+    The one job order of the library: descending for LPT, MULTIFIT's FFD
+    and the PTAS short-job phase; ascending for the canonical
+    coordinates that the result cache keys and the served ``ptas`` solve
+    in, which must agree on every tie for twins to share an answer.
+    """
+    if descending:
+        return sorted(range(len(times)), key=lambda j: (-times[j], j))
+    return sorted(range(len(times)), key=lambda j: (times[j], j))
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable ``P || Cmax`` problem instance.
@@ -147,9 +160,7 @@ class Instance:
         Ties are broken by ascending index, which keeps every consumer of
         this order (LPT, MULTIFIT, the PTAS short-job phase) deterministic.
         """
-        return sorted(
-            range(self.num_jobs), key=lambda j: (-self.processing_times[j], j)
-        )
+        return time_order(self.processing_times, descending=True)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

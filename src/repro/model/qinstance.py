@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from repro.model.instance import Instance, _as_int
+from repro.model.instance import Instance, _as_int, time_order
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,7 @@ class QInstance:
         """Job indices by non-increasing processing requirement (ties by
         ascending index) — the deterministic order shared with
         :meth:`Instance.sorted_jobs_desc`."""
-        return sorted(
-            range(self.num_jobs), key=lambda j: (-self.processing_times[j], j)
-        )
+        return time_order(self.processing_times, descending=True)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

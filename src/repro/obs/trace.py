@@ -62,6 +62,24 @@ SPAN_KINDS = (
     "reconstruct",
 )
 
+#: The solver's tracer counters (see ``docs/observability.md``):
+#:
+#: * ``probes`` — bisection probes;
+#: * ``probes_ffd`` — probes a first-fit-decreasing packing decided;
+#: * ``rounding_reuses`` — probes that reused the previous rounding;
+#: * ``dp_reuses`` — probes answered by an earlier probe's table;
+#: * ``configs_enumerated`` — machine configurations enumerated;
+#: * ``levels`` / ``runs`` — wavefront levels and tile diagonals filled.
+TRACE_COUNTERS = (
+    "probes",
+    "probes_ffd",
+    "rounding_reuses",
+    "dp_reuses",
+    "configs_enumerated",
+    "levels",
+    "runs",
+)
+
 
 class Span:
     """One timed node of the trace tree.
@@ -272,6 +290,23 @@ class Tracer:
             agg["count"] += 1
             agg["seconds"] += span.duration
         return summary
+
+
+def register_phase_metrics(metrics: Any) -> None:
+    """Create every instrument :func:`publish_phase_summary` can touch:
+    one ``trace.phase.<kind>.seconds`` histogram and ``trace.spans.<kind>``
+    counter per :data:`SPAN_KINDS` entry, and one
+    ``trace.counters.<name>`` counter per :data:`TRACE_COUNTERS` entry.
+
+    A registry prepared this way reports each of them from the start,
+    reading 0 until it is observed, so a reader can tell a phase that
+    never ran from a name that does not exist.
+    """
+    for kind in SPAN_KINDS:
+        metrics.histogram(f"trace.phase.{kind}.seconds")
+        metrics.counter(f"trace.spans.{kind}")
+    for name in TRACE_COUNTERS:
+        metrics.counter(f"trace.counters.{name}")
 
 
 def publish_phase_summary(tracer: Tracer, metrics: Any) -> dict[str, dict[str, float | int]]:

@@ -21,8 +21,9 @@ instances nobody anticipated:
    in-process facade result once both are reduced to the canonical
    fingerprint of :func:`repro.service.cache.canonicalize_result`.
 4. **Paper fidelity** (:func:`fidelity_violations`) — every served PTAS
-   answer is the paper's own table witness: the same final target and
-   assignment as ``ptas(instance, eps, engine="table")``.
+   answer certifies the final target of ``ptas(instance, eps,
+   engine="table")``; ``parallel_ptas`` also returns that engine's
+   assignment, and ``ptas`` a canonical answer no worse than LPT.
 
 Each function returns a list of :class:`Violation` records (empty =
 clean) rather than raising, so the fuzzer can collect, minimize, and
@@ -40,17 +41,18 @@ from repro.model.problem import Q_CMAX, problem_of_instance
 from repro.model.qinstance import QInstance
 from repro.model.verify import verify_schedule
 from repro.service.registry import EngineSpec
-from repro.service.requests import SolveRequest
+from repro.service.requests import SolveRequest, SolveResult
 
 #: Engines whose result legitimately depends on the *order* of the job
 #: vector, and so are exempt from the permutation-invariance oracle:
-#: plain Graham list scheduling processes jobs as given, and the PTAS
-#: family maps rounded grid buckets back to original jobs in input
-#: order — two jobs sharing a bucket (say times 92 and 94 at eps=0.3)
-#: can swap machines under permutation, moving the true makespan within
-#: the guarantee band.  The fuzzer found the PTAS case on its first
-#: smoke run (minimized: times (92, 87, 94), m=2 → 181 vs 179).
-ORDER_SENSITIVE = frozenset({"ls", "ptas", "parallel_ptas"})
+#: plain Graham list scheduling processes jobs as given, and the paper's
+#: ``parallel_ptas`` maps rounded grid buckets back to original jobs in
+#: input order — two jobs sharing a bucket (say times 92 and 94 at
+#: eps=0.3) can swap machines under permutation, moving the true
+#: makespan within the guarantee band.  The fuzzer found the PTAS case
+#: on its first smoke run (minimized: times (92, 87, 94), m=2 → 181 vs
+#: 179).  The served ``ptas`` solves in canonical coordinates instead.
+ORDER_SENSITIVE = frozenset({"ls", "parallel_ptas"})
 
 #: Approximate engines whose makespan provably scales exactly with a
 #: uniform integer scaling of the processing times (greedy placement is
@@ -58,7 +60,7 @@ ORDER_SENSITIVE = frozenset({"ls", "ptas", "parallel_ptas"})
 SCALE_EQUIVARIANT_APPROX = frozenset({"lpt", "ls"})
 
 #: The registry engines that serve PTAS answers, each held by the
-#: fidelity oracle to the witness of the paper's full-table DP.
+#: fidelity oracle to the final target of the paper's full-table DP.
 SERVED_PTAS_ENGINES = frozenset({"ptas", "parallel_ptas"})
 
 #: Relative slack for float comparisons (``q_cmax`` makespans surface
@@ -547,34 +549,40 @@ def fidelity_violations(
     instance: Instance | QInstance,
     eps: float,
 ) -> list[Violation]:
-    """Oracle class 4: every served PTAS answer is the table witness.
+    """Oracle class 4: every served PTAS answer keeps the paper's promise.
 
     On a ``p_cmax`` instance, each :data:`SERVED_PTAS_ENGINES` member of
     *engines* solves through its registry adapter under a tracer (the
-    ``solve`` span reports the certified target) and must return the
-    final target and the assignment of ``ptas(instance, eps,
-    engine="table")`` — Alg. 2's full-table sweep, which the golden
-    suite pins.  The cache, store and shard keys ignore how an answer
-    was computed, so a served path with another DP witness would make
-    the answer depend on which permuted twin was solved first.
+    ``solve`` span reports the certified target), and that target must
+    equal the one of ``ptas(instance, eps, engine="table")`` — Alg. 2's
+    full-table sweep, which the golden suite pins.  Beyond the target:
+
+    * ``parallel_ptas``, the paper's algorithm, must return the table
+      engine's assignment;
+    * ``ptas``, which serves the cheapest certified witness, must have
+      a makespan of at most LPT's and of at most ``(1 + 1/k) *
+      final_target``, and the reversed twin of the instance must get a
+      byte-identical canonical answer
+      (:func:`repro.service.cache.canonicalize_result`).  The cache,
+      store and shard keys ignore job order, so an answer that depended
+      on it would depend on which twin was solved first.
     """
     served = [(name, spec) for name, spec in engines if name in SERVED_PTAS_ENGINES]
     if not served or isinstance(instance, QInstance):
         return []
+    from repro.algorithms.lpt import lpt
     from repro.core.context import SolveContext
     from repro.core.ptas import ptas
+    from repro.core.rounding import accuracy_parameter
     from repro.obs.trace import Tracer
 
     reference = ptas(instance, eps, engine="table")
     violations: list[Violation] = []
     for name, spec in served:
         tracer = Tracer()
+        request = build_request(instance, name, eps)
         try:
-            schedule = spec.solve(
-                instance,
-                build_request(instance, name, eps),
-                SolveContext(tracer=tracer),
-            )
+            schedule = spec.solve(instance, request, SolveContext(tracer=tracer))
         except Exception as exc:  # noqa: BLE001 - capture, don't crash the fuzzer
             violations.append(
                 Violation(
@@ -592,14 +600,69 @@ def fidelity_violations(
                     f"{reference.final_target}",
                 )
             )
-        elif schedule.assignment != reference.schedule.assignment:
-            violations.append(
-                Violation(
-                    "fidelity", "assignment", name,
-                    f"assignment {schedule.assignment} (makespan "
-                    f"{schedule.makespan}) != the table engine's "
-                    f"{reference.schedule.assignment} (makespan "
-                    f"{reference.makespan})",
+        elif name == "parallel_ptas":
+            if schedule.assignment != reference.schedule.assignment:
+                violations.append(
+                    Violation(
+                        "fidelity", "assignment", name,
+                        f"assignment {schedule.assignment} (makespan "
+                        f"{schedule.makespan}) != the table engine's "
+                        f"{reference.schedule.assignment} (makespan "
+                        f"{reference.makespan})",
+                    )
                 )
-            )
+        else:
+            k = accuracy_parameter(eps)
+            lpt_makespan = lpt(instance).makespan
+            if schedule.makespan > lpt_makespan or (
+                schedule.makespan * k > (k + 1) * target
+            ):
+                violations.append(
+                    Violation(
+                        "fidelity", "witness_bound", name,
+                        f"makespan {schedule.makespan} exceeds LPT's "
+                        f"{lpt_makespan} or (1 + 1/{k}) x {target}",
+                    )
+                )
+            violations.extend(_twin_violations(name, spec, instance, request, schedule))
     return violations
+
+
+def _twin_violations(
+    name: str,
+    spec: EngineSpec,
+    instance: Instance,
+    request: SolveRequest,
+    schedule,
+) -> list[Violation]:
+    """The reversed twin of *instance* must get *schedule*'s canonical
+    answer, byte for byte."""
+    from repro.service.cache import canonicalize_result
+
+    twin = Instance(tuple(reversed(instance.processing_times)), instance.num_machines)
+    twin_request = build_request(twin, name, request.eps)
+    try:
+        twin_schedule = spec.solve(twin, twin_request, None)
+    except Exception as exc:  # noqa: BLE001 - capture, don't crash the fuzzer
+        return [
+            Violation(
+                "fidelity", "error", name,
+                f"engine raised on the reversed twin: {type(exc).__name__}: {exc}",
+            )
+        ]
+    answers = [
+        canonicalize_result(
+            req,
+            SolveResult(engine=name, makespan=s.makespan, assignment=s.assignment),
+        ).to_json()
+        for req, s in ((request, schedule), (twin_request, twin_schedule))
+    ]
+    if answers[0] != answers[1]:
+        return [
+            Violation(
+                "fidelity", "canonical", name,
+                f"the reversed twin's canonical answer {answers[1]} != "
+                f"{answers[0]}",
+            )
+        ]
+    return []

@@ -41,6 +41,7 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
+from repro.model.instance import time_order
 from repro.model.problem import P_CMAX, Q_CMAX
 from repro.service.registry import canonical_engine_name
 from repro.service.requests import SolveRequest, SolveResult
@@ -53,11 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: never collide; ``speeds`` is the sorted multiset for ``q_cmax`` and
 #: always ``()`` for ``p_cmax``.
 CacheKey = tuple[str, tuple[int, ...], tuple[int, ...], int, str, float]
-
-
-def _sort_order(times: tuple[int, ...]) -> list[int]:
-    """Job indices in the stable canonical order (by time, ties by index)."""
-    return sorted(range(len(times)), key=lambda j: (times[j], j))
 
 
 def _machine_order(speeds: tuple[int, ...]) -> list[int]:
@@ -111,7 +107,7 @@ def _to_canonical(
     positions; for ``q_cmax`` the machine rows are also permuted into
     the canonical (sorted-speed) machine order."""
     times = request.times
-    position_of = {j: p for p, j in enumerate(_sort_order(times))}
+    position_of = {j: p for p, j in enumerate(time_order(times))}
     groups = tuple(
         tuple(sorted(position_of[j] for j in grp)) for grp in assignment
     )
@@ -127,7 +123,7 @@ def _from_canonical(
 ) -> tuple[tuple[int, ...], ...]:
     """Instantiate a canonical assignment for a concrete job numbering
     (and, for ``q_cmax``, a concrete machine/speed ordering)."""
-    order = _sort_order(request.times)
+    order = time_order(request.times)
     groups = tuple(tuple(order[p] for p in grp) for grp in canonical)
     problem, speeds = canonical_problem_key(request)
     if problem == Q_CMAX:

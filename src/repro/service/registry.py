@@ -50,7 +50,7 @@ from repro.algorithms.related import (
 )
 from repro.core.context import SolveContext
 from repro.core.parallel_dp import BACKENDS
-from repro.core.ptas import parallel_ptas
+from repro.core.ptas import _served_ptas, parallel_ptas
 from repro.model.instance import Instance
 from repro.model.problem import P_CMAX, Q_CMAX, canonical_problem_name
 from repro.model.qinstance import QInstance, QSchedule
@@ -146,13 +146,11 @@ def _solve_ptas(
     request: "SolveRequest",
     ctx: "SolveContext | None",
 ) -> Schedule:
-    # The wavefront kernel on one thread, with probe reuse: the fastest
-    # path to the paper's table witness, ``ptas(engine="table")``'s
-    # schedule.  Serving one witness keeps answers a function of the
-    # cache key.
-    return parallel_ptas(
-        instance, request.eps, 1, backend="numpy-serial", ctx=ctx
-    ).schedule
+    # The cheapest certified witness: LPT when it is optimal, else the
+    # better of LPT and the final probe's packing, with probes decided
+    # by FFD before the kernel.  Solved in canonical coordinates, so the
+    # answer is a function of the cache key.
+    return _served_ptas(instance, request.eps, ctx)
 
 
 def _solve_parallel_ptas(
@@ -233,8 +231,9 @@ def _register(spec: EngineSpec) -> None:
 _register(
     EngineSpec(
         name="ptas",
-        description="Hochbaum–Shmoys PTAS (Algorithm 1) on one thread of "
-        "the wavefront kernel",
+        description="Hochbaum–Shmoys PTAS (Algorithm 1): FFD decides "
+        "probes before the wavefront kernel; serves the better of the "
+        "certified witness and LPT",
         guarantee=_ptas_guarantee,
         solve=_solve_ptas,
         supports_deadline=True,

@@ -64,6 +64,7 @@ from typing import Any, Callable
 
 from repro.core.context import SolveContext
 from repro.obs import Tracer, publish_phase_summary, trace_to_payload
+from repro.obs.trace import register_phase_metrics
 from repro.online.session import SessionManager
 from repro.service.cache import ResultCache, canonical_key
 from repro.service.metrics import (
@@ -130,7 +131,8 @@ class Shard:
     *metrics* is shared with whoever hosts the shard; the shard counts
     only its own events (cache hits and misses, solves, errors, trace
     phases), so a registry shared with the front end counts each event
-    once.
+    once.  Every trace-phase histogram and solver counter is registered
+    when the shard is built, so ``op=stats`` lists each from the start.
     """
 
     def __init__(
@@ -146,6 +148,7 @@ class Shard:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.metrics = metrics
+        register_phase_metrics(metrics)
         self.archive_traces = archive_traces
         self._clock = clock
         self.store = None

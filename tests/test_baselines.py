@@ -90,7 +90,7 @@ class TestLPT:
 class TestFFD:
     def test_packs_within_capacity(self):
         inst = Instance([6, 4, 3, 2], num_machines=2)
-        bins = ffd_pack(inst, 8)
+        bins = ffd_pack(inst.processing_times, 8, inst.num_machines)
         assert bins is not None
         t = inst.processing_times
         for b in bins:
@@ -98,17 +98,24 @@ class TestFFD:
 
     def test_fails_when_over_m_bins(self):
         inst = Instance([6, 6, 6], num_machines=2)
-        assert ffd_pack(inst, 6) is None
+        assert ffd_pack(inst.processing_times, 6, inst.num_machines) is None
 
     def test_fails_when_job_exceeds_capacity(self):
         inst = Instance([10], num_machines=1)
-        assert ffd_pack(inst, 9) is None
+        assert ffd_pack(inst.processing_times, 9, inst.num_machines) is None
 
     def test_all_jobs_packed(self):
         inst = Instance([5, 4, 3, 3, 2, 1], num_machines=3)
-        bins = ffd_pack(inst, 7)
+        bins = ffd_pack(inst.processing_times, 7, inst.num_machines)
         assert bins is not None
         assert sorted(j for b in bins for j in b) == list(range(6))
+
+    def test_item_cap_opens_new_bins(self):
+        # Capacity alone packs (3, 3, 3) into one bin; a cap of 2 items
+        # per bin needs a second, and a third cap-1 bin is one too many.
+        assert ffd_pack([3, 3, 3], 9, 1) == [[0, 1, 2]]
+        assert ffd_pack([3, 3, 3], 9, 2, max_items=2) == [[0, 1], [2]]
+        assert ffd_pack([3, 3, 3], 9, 2, max_items=1) is None
 
 
 class TestMultifit:

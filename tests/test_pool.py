@@ -34,13 +34,16 @@ def _req(times, machines=3, engine="ptas", eps=0.3, **kwargs) -> SolveRequest:
     )
 
 
-#: An instance whose PTAS solve takes long enough (seconds at eps=0.05)
-#: that a test can reliably kill or deadline it mid-flight.
+#: An instance whose table-witness PTAS solve takes long enough (seconds
+#: at eps=0.05) that a test can reliably kill or deadline it mid-flight.
+#: The served ``ptas`` answers it in about a millisecond (FFD packs its
+#: final target), so the slow request names ``parallel_ptas``, which
+#: fills the kernel's tables.
 SLOW_TIMES = tuple(((i * 37) % 97) + 3 for i in range(60))
 
 
 def _slow_req(**kwargs) -> SolveRequest:
-    return _req(SLOW_TIMES, machines=5, eps=0.05, **kwargs)
+    return _req(SLOW_TIMES, machines=5, eps=0.05, engine="parallel_ptas", **kwargs)
 
 
 class TestAggregatePoolStats:

@@ -115,6 +115,21 @@ CONFIG_ILP_PTAS_SPEC = dataclasses.replace(
 )
 
 
+def _paper_witness_ptas_solve(instance, request, ctx):
+    """A ``ptas`` adapter that serves the table witness in the caller's
+    job order."""
+    from repro.core.ptas import parallel_ptas
+
+    return parallel_ptas(
+        instance, request.eps, 1, backend="numpy-serial", ctx=ctx
+    ).schedule
+
+
+PAPER_WITNESS_PTAS_SPEC = dataclasses.replace(
+    get_engine("ptas"), solve=_paper_witness_ptas_solve
+)
+
+
 class TestDdmin:
     def test_minimizes_to_the_failing_pair(self):
         assert ddmin(
@@ -245,11 +260,25 @@ class TestOracles:
 
     def test_fidelity_catches_the_config_ilp_witness(self):
         # Same certified target (17), another witness: makespan 18 where
-        # the table engine reconstructs 17.
+        # the table engine reconstructs 17.  ``parallel_ptas`` is held to
+        # the table witness itself.
         inst = Instance([9, 8, 7, 6, 5, 5, 4, 3, 2, 1], 3)
-        violations = fidelity_violations([("ptas", CONFIG_ILP_PTAS_SPEC)], inst, 0.3)
+        violations = fidelity_violations(
+            [("parallel_ptas", CONFIG_ILP_PTAS_SPEC)], inst, 0.3
+        )
         assert [(v.oracle, v.check, v.engine) for v in violations] == [
-            ("fidelity", "assignment", "ptas")
+            ("fidelity", "assignment", "parallel_ptas")
+        ]
+
+    def test_fidelity_holds_ptas_to_lpt_and_job_order(self):
+        # The paper's witness, served as ``ptas`` in the caller's job
+        # order: 181 on (92, 87, 94) where LPT has 179, and 179 on the
+        # reversed twin, so the canonical answers differ too.
+        inst = Instance([92, 87, 94], 2)
+        violations = fidelity_violations([("ptas", PAPER_WITNESS_PTAS_SPEC)], inst, 0.3)
+        assert [(v.oracle, v.check, v.engine) for v in violations] == [
+            ("fidelity", "witness_bound", "ptas"),
+            ("fidelity", "canonical", "ptas"),
         ]
 
     def test_fidelity_skips_q_cmax(self):
@@ -302,10 +331,13 @@ class TestFuzzer:
                 "buggy_bnb" in line for line in record["violations"]
             )
 
-    def test_fuzzer_catches_a_config_ilp_served_ptas(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _fuzz_with_config_ilp_as(name, tmp_path, monkeypatch):
+        """Fuzz 40 p_cmax cases with the config-ilp witness, solved in
+        the caller's job order, registered under *name*."""
         from repro.service import registry
 
-        monkeypatch.setitem(registry._REGISTRY, "ptas", CONFIG_ILP_PTAS_SPEC)
+        monkeypatch.setitem(registry._REGISTRY, name, CONFIG_ILP_PTAS_SPEC)
         config = FuzzConfig(
             seed=0,
             budget=40,
@@ -314,9 +346,27 @@ class TestFuzzer:
             service=False,
             max_failures=1,
         )
-        report = run_fuzz(config)
-        assert [f.oracle for f in report.failures] == ["fidelity"]
+        return run_fuzz(config)
+
+    def test_fuzzer_catches_a_config_ilp_served_ptas(self, tmp_path, monkeypatch):
+        # The served ``ptas`` promises an order-independent answer no
+        # worse than LPT, so the permutation or the fidelity oracle
+        # catches it.
+        report = self._fuzz_with_config_ilp_as("ptas", tmp_path, monkeypatch)
+        assert len(report.failures) == 1
+        assert report.failures[0].oracle in {"metamorphic", "fidelity"}
         assert all(v.engine == "ptas" for v in report.failures[0].violations)
+
+    def test_fuzzer_catches_a_config_ilp_parallel_ptas(self, tmp_path, monkeypatch):
+        # ``parallel_ptas`` promises the table witness itself, so another
+        # witness is a fidelity failure.
+        report = self._fuzz_with_config_ilp_as(
+            "parallel_ptas", tmp_path, monkeypatch
+        )
+        assert [f.oracle for f in report.failures] == ["fidelity"]
+        assert all(
+            v.engine == "parallel_ptas" for v in report.failures[0].violations
+        )
 
     def test_replay_file_clean_after_fix(self, tmp_path):
         """A repro recorded against a scratch engine no longer fails

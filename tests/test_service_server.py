@@ -19,6 +19,7 @@ import pytest
 from repro.algorithms.lpt import lpt
 from repro.model.instance import Instance
 from repro.model.verify import verify_schedule
+from repro.obs.trace import SPAN_KINDS, TRACE_COUNTERS
 from repro.online.session import SessionManager
 from repro.service import registry
 from repro.service.admission import AdmissionController
@@ -285,21 +286,33 @@ class TestHandle:
 
     def test_stats_exposes_trace_phase_summary(self):
         """Every solve runs under a per-request tracer whose per-phase
-        breakdown lands in the metrics snapshot (``op=stats``)."""
+        breakdown lands in the metrics snapshot (``op=stats``).  Every
+        phase of the span taxonomy and every solver counter is listed
+        from the start and reads 0 until it is observed."""
 
         async def scenario():
             svc = SolveService()
             try:
+                before = await svc.stats()
                 await svc.handle(_req([7, 7, 6, 6, 5, 4, 4, 3], engine="ptas"))
-                return await svc.stats()
+                return before, await svc.stats()
             finally:
                 await _closed(svc)
 
-        snap = run(scenario())
-        assert snap["counters"]["trace.spans.solve"] == 1
-        assert snap["counters"]["trace.spans.probe"] >= 1
-        assert snap["counters"]["trace.counters.probes"] >= 1
-        assert snap["histograms"]["trace.phase.dp.seconds"]["count"] >= 1
+        before, snap = run(scenario())
+        for kind in SPAN_KINDS:
+            assert before["histograms"][f"trace.phase.{kind}.seconds"]["count"] == 0
+            assert before["counters"][f"trace.spans.{kind}"] == 0
+        for name in TRACE_COUNTERS:
+            assert before["counters"][f"trace.counters.{name}"] == 0
+        counters = snap["counters"]
+        assert counters["trace.spans.solve"] == 1
+        assert counters["trace.spans.probe"] >= 1
+        assert counters["trace.counters.probes"] >= 1
+        # FFD packs every probe of this instance, so no table is filled.
+        assert counters["trace.counters.probes_ffd"] == counters["trace.counters.probes"]
+        assert snap["histograms"]["trace.phase.dp.seconds"]["count"] == 0
+        assert snap["histograms"]["trace.phase.reconstruct.seconds"]["count"] == 1
 
 
 class TestProtocol:
